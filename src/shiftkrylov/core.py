@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 __all__ = [
     "BreakdownError",
@@ -137,10 +138,11 @@ class SparseSymMatrix:
     otherwise, so real problems automatically run on the real fast path.
 
     Instances are immutable after construction and safe to share across
-    concurrent readers.
+    concurrent readers; the cached :attr:`csr` view is built on first use,
+    at worst once per concurrent first reader.
     """
 
-    __slots__ = ("n", "indptr", "indices", "data", "is_real")
+    __slots__ = ("n", "indptr", "indices", "data", "is_real", "_csr")
 
     def __init__(self, n: int, indptr, indices, data):
         n = int(n)
@@ -165,6 +167,10 @@ class SparseSymMatrix:
         if len(indices) and (indices.min() < 0 or indices.max() >= n):
             raise ValueError("column index out of range")
         rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        nonfinite = np.flatnonzero(~np.isfinite(data))
+        if len(nonfinite):
+            k = int(nonfinite[0])
+            raise ValueError(f"non-finite entry {data[k]} at ({rows[k]},{indices[k]})")
         if len(indices) > 1:
             within_row = rows[1:] == rows[:-1]
             bad = within_row & (np.diff(indices) <= 0)
@@ -179,6 +185,7 @@ class SparseSymMatrix:
         self.indices = indices
         self.data = data
         self.is_real = data.dtype.kind == "f"
+        self._csr = None
         self._check_symmetry(rows)
 
     def _check_symmetry(self, rows: np.ndarray):
@@ -231,6 +238,16 @@ class SparseSymMatrix:
     @property
     def nnz(self) -> int:
         return len(self.data)
+
+    @property
+    def csr(self) -> scipy.sparse.csr_array:
+        """The same matrix as a ``scipy.sparse`` CSR array, for block
+        products; built on first use (not at construction) and cached."""
+        if self._csr is None:
+            self._csr = scipy.sparse.csr_array(
+                (self.data, self.indices, self.indptr), shape=(self.n, self.n)
+            )
+        return self._csr
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n), dtype=self.data.dtype)

@@ -144,6 +144,9 @@ def read_matrix_market(path) -> SparseSymMatrix:
         count += 1
     if count != nnz:
         raise ParseError(path, len(lines) + 1, f"expected {nnz} entries, found {count}")
+    nonfinite = np.flatnonzero(~np.isfinite(vals))
+    if len(nonfinite):
+        raise ParseError(path, int(entry_line[nonfinite[0]]), "non-finite value")
 
     order = np.lexsort((cols, rows))
     srows, scols = rows[order], cols[order]

@@ -19,22 +19,29 @@ shift:
   same solution). It is kept as a distinct method because its reported
   residuals are computed explicitly as ``||b - (A + sigma I) x||`` instead of
   through the recurrence shortcut, giving an independent reporting route.
+  After the per-shift updates of a step, the explicit residuals of all its
+  updated shifts come from one sparse block product ``A X^T`` per block of
+  at most ``2**14`` iterate entries (:func:`true_residual`), not from one
+  matvec per shift.
 
 The multi-shift driver :func:`solve_all` runs one Lanczos step per iteration,
 then applies the chosen kernel to every shift that has not yet converged
 (deflation) or broken down. Each shift's arithmetic is self-contained, so
-results are independent of how the per-shift loop is scheduled.
+results are independent of how the per-shift loop is scheduled and of which
+other shifts share a residual block.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BreakdownError, FlopCounter, ShiftSet, SparseSymMatrix, spmv
+# spmv stays a name of this module: perfbench/spans.py wraps solvers.spmv
+from .core import BreakdownError, FlopCounter, ShiftSet, SparseSymMatrix, spmv  # noqa: F401
 from .lanczos import LanczosStep, lanczos_init, lanczos_step
 
 __all__ = [
@@ -57,6 +64,11 @@ METHODS = ("cocg", "qmr-sym", "qmr-sym-b", "qmr-sym-omega")
 # Nominal least-squares scalar-op charges per shift update.
 _LSQ_OPS_ROTATION = 26
 _LSQ_OPS_ELIMINATION = 8
+
+# Iterate entries per explicit-residual block: solve_all hands
+# max(1, _BLOCK_ELEMS // N) shifts at a time to true_residual, which bounds
+# the block's temporaries to a few times this many complex entries.
+_BLOCK_ELEMS = 2**14
 
 
 @dataclass(slots=True)
@@ -135,7 +147,7 @@ def _givens(t_n: complex, t_np1: complex) -> tuple[float, complex]:
     """Rotation zeroing the subdiagonal entry: ``c`` real nonnegative,
     ``sbar = (t_{n+1,n} / t_{n,n}) c``. The pivot ``t_{n,n}`` must be
     nonzero; the caller checks."""
-    den = np.sqrt(abs(t_n) ** 2 + abs(t_np1) ** 2)
+    den = math.hypot(abs(t_n), abs(t_np1))
     c = abs(t_n) / den
     sbar = (t_np1 / t_n) * c
     return float(c), complex(sbar)
@@ -219,6 +231,12 @@ def qmr_sym_update(
     return state
 
 
+def _scaled_next(v_next: np.ndarray, omega_np1: float) -> np.ndarray:
+    """``v_{n+1} / omega_{n+1}``, the omega variant's estimate direction."""
+    # omega_np1 vanishes only on lucky termination, where v_next is zero anyway
+    return v_next / (omega_np1 if omega_np1 > 0 else 1.0)
+
+
 def qmr_sym_omega_update(
     state: ShiftSystemState,
     alpha,
@@ -228,6 +246,7 @@ def qmr_sym_omega_update(
     v_next: np.ndarray,
     omegas: tuple,
     counter: FlopCounter | None = None,
+    v_next_scaled: np.ndarray | None = None,
 ) -> ShiftSystemState:
     """Rotation step on the row-scaled column.
 
@@ -235,10 +254,13 @@ def qmr_sym_omega_update(
     corresponding basis vectors; the residual-estimate recurrence tracks
     ``w~_{n+1} = -s_n w~_n + c_n v_{n+1} / omega_{n+1}`` so that the
     estimate ``|g_{n+1}| ||w~_{n+1}||`` equals the true residual norm.
+    A caller updating many shifts (as :func:`solve_all` does) passes
+    ``v_next_scaled = v_{n+1} / omega_{n+1}`` computed once per step;
+    otherwise it is computed here.
     """
     om_nm1, om_n, om_np1 = omegas
-    # om_np1 vanishes only on lucky termination, where v_next is zero anyway
-    scale = om_np1 if om_np1 > 0 else 1.0
+    if v_next_scaled is None:
+        v_next_scaled = _scaled_next(v_next, om_np1)
     _rotation_update(
         state,
         state.niter + 1,
@@ -246,7 +268,7 @@ def qmr_sym_omega_update(
         om_n * (complex(alpha) + state.sigma),
         om_np1 * complex(beta),
         v,
-        v_next / scale,
+        v_next_scaled,
         counter,
     )
     return state
@@ -343,14 +365,42 @@ def estimate_residual_qmr_b(state: ShiftSystemState, v_next: np.ndarray) -> floa
     return abs(state.g) * float(np.linalg.norm(v_next))
 
 
-def true_residual(A: SparseSymMatrix, sigma, b, x, counter: FlopCounter | None = None) -> float:
-    """Explicit residual norm ``||b - (A + sigma I) x||_2``."""
+def true_residual(A: SparseSymMatrix, sigma, b, x, counter: FlopCounter | None = None):
+    """Explicit residual norm ``||b - (A + sigma I) x||_2``.
+
+    For one shift, ``sigma`` is a scalar, ``x`` has shape ``(N,)`` and the
+    norm is returned as a ``float``. For a block, ``sigma`` has shape
+    ``(k,)`` and ``x`` shape ``(k, N)``, one iterate per row; the ``k`` norms
+    come back as an array from one sparse product ``A X^T`` over the whole
+    block (no copy is needed when ``x`` is the transpose of a C-contiguous
+    ``(N, k)`` array). A real ``A`` multiplies complex iterates as a float64
+    view with ``2k`` real columns. Each norm is taken over its own
+    contiguous row, so a shift's value does not depend on which other rows
+    share its block. Each row is charged as one matvec.
+    """
     b = np.asarray(b)
     x = np.asarray(x)
-    if b.shape != (A.n,) or x.shape != (A.n,):
+    X = np.atleast_2d(x)
+    sigmas = np.atleast_1d(np.asarray(sigma))
+    if b.shape != (A.n,) or X.ndim != 2 or X.shape[1] != A.n or sigmas.shape != (len(X),):
         raise ValueError("dimension mismatch")
-    r = b - spmv(A, x, counter=counter) - sigma * x
-    return float(np.linalg.norm(r))
+    XT = np.ascontiguousarray(X.T, dtype=np.result_type(X, np.float64))
+    if A.is_real and XT.dtype.kind == "c":
+        RT = (A.csr @ XT.view(np.float64)).view(np.complex128)
+    else:
+        RT = A.csr @ XT
+    # R^T = (b - A X^T) - X^T diag(sigma), formed in the product's buffer
+    # when the dtypes allow; every entry is rounded as in b - A x - sigma x
+    dtype = np.result_type(RT, b, sigmas, XT)
+    RT = np.subtract(b[:, None], RT, out=RT if RT.dtype == dtype else None, dtype=dtype)
+    RT -= XT * sigmas
+    if counter is not None:
+        counter.add_matvec(len(X) * A.nnz, real=A.is_real and X.dtype.kind != "c")
+    R = np.ascontiguousarray(RT.T)
+    if R.dtype.kind == "c":
+        R = R.view(np.float64)
+    norms = np.sqrt(np.einsum("ij,ij->i", R, R))
+    return float(norms[0]) if x.ndim == 1 else norms
 
 
 @dataclass
@@ -398,8 +448,7 @@ class _SharedStep:
     step: LanczosStep
     v_next_norm: float
     omegas: tuple | None
-    A: SparseSymMatrix
-    b: np.ndarray
+    v_next_scaled: np.ndarray | None  # v_{n+1} / omega_{n+1}, omega method only
     bnorm: float
 
 
@@ -411,15 +460,21 @@ def _apply_update(state: ShiftSystemState, shared: _SharedStep, counter: FlopCou
         qmr_sym_b_update(state, step.alpha, step.beta_prev, step.beta, step.v, counter)
     elif state.method == "qmr-sym-omega":
         qmr_sym_omega_update(
-            state, step.alpha, step.beta_prev, step.beta, step.v, step.v_next, shared.omegas, counter
+            state,
+            step.alpha,
+            step.beta_prev,
+            step.beta,
+            step.v,
+            step.v_next,
+            shared.omegas,
+            counter,
+            v_next_scaled=shared.v_next_scaled,
         )
     else:  # cocg
         cocg_galerkin_update(state, step.alpha, step.beta_prev, step.beta, step.v, counter)
 
 
-def _estimate(state: ShiftSystemState, shared: _SharedStep, counter: FlopCounter | None) -> float:
-    if state.method == "cocg":
-        return true_residual(shared.A, state.sigma, shared.b, state.x, counter=counter)
+def _estimate(state: ShiftSystemState, shared: _SharedStep) -> float:
     if state.method == "qmr-sym-b":
         if state.real_path:
             return abs(state.g)
@@ -427,18 +482,46 @@ def _estimate(state: ShiftSystemState, shared: _SharedStep, counter: FlopCounter
     return estimate_residual_qmr(state)
 
 
+def _record(state: ShiftSystemState, res: float, bnorm: float):
+    state.res = res
+    if state.history is not None:
+        state.history.append((state.niter, res / bnorm))
+
+
 def _advance_shift(state: ShiftSystemState, shared: _SharedStep, counter: FlopCounter | None):
     """Update one shift and record its new residual estimate; a per-shift
-    breakdown freezes the state at the previous step."""
+    breakdown freezes the state at the previous step. ``cocg`` residuals are
+    recorded afterwards by :func:`_residual_norms` over all updated shifts."""
     try:
         _apply_update(state, shared, counter)
     except BreakdownError as exc:
         state.broken = True
         state.failure = str(exc)
         return
-    state.res = _estimate(state, shared, counter)
-    if state.history is not None:
-        state.history.append((state.niter, state.res / shared.bnorm))
+    if state.method != "cocg":
+        _record(state, _estimate(state, shared), shared.bnorm)
+
+
+def _residual_norms(A: SparseSymMatrix, b: np.ndarray, states: list, counter) -> np.ndarray:
+    """Explicit residual norms of the states' current iterates, through one
+    :func:`true_residual` block per ``max(1, _BLOCK_ELEMS // N)`` states."""
+    k = max(1, _BLOCK_ELEMS // A.n)
+    norms = np.empty(len(states))
+    for lo in range(0, len(states), k):
+        block = states[lo : lo + k]
+        # stacked column-wise, so the (k, N) block is a transposed view
+        # and true_residual multiplies it without another copy
+        X = np.stack([st.x for st in block], axis=1).T
+        norms[lo : lo + k] = true_residual(
+            A, np.array([st.sigma for st in block]), b, X, counter=counter
+        )
+    return norms
+
+
+def _check_finite(values: np.ndarray, name: str):
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        raise ValueError(f"{name}[{bad[0]}] = {values[bad[0]]} is not finite")
 
 
 def solve_all(
@@ -491,7 +574,8 @@ def solve_all(
         deflation step). The report carries per-shift statuses, iteration
         counts, residual data and counters.
 
-    A degenerate right-hand side raises :class:`BreakdownError` from
+    A non-finite shift or right-hand-side entry raises ``ValueError`` naming
+    its index. A degenerate right-hand side raises :class:`BreakdownError` from
     initialization; breakdowns during the run are reported per shift in the
     report instead of raising. Hitting ``max_iter`` leaves the affected
     shifts marked ``"unconverged"``.
@@ -508,11 +592,13 @@ def solve_all(
         raise ValueError("max_iter must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    b_arr = np.asarray(b)
+    _check_finite(shifts.shifts, "shifts")
+    _check_finite(b_arr, "b")
     counter = counter if counter is not None else FlopCounter()
 
     t0 = time.perf_counter()
-    lstate = lanczos_init(A, b)
-    b_arr = np.asarray(b)
+    lstate = lanczos_init(A, b_arr)
     bnorm = lstate.bnorm2
     real_path = lstate.v_curr.dtype.kind != "c"
     omega_method = method == "qmr-sym-omega"
@@ -565,7 +651,11 @@ def solve_all(
                 else None
             )
             shared = _SharedStep(
-                step=step, v_next_norm=v_next_norm, omegas=omegas, A=A, b=b_arr, bnorm=bnorm
+                step=step,
+                v_next_norm=v_next_norm,
+                omegas=omegas,
+                v_next_scaled=_scaled_next(step.v_next, v_next_norm) if omega_method else None,
+                bnorm=bnorm,
             )
             if pool is not None and len(active) > 1:
                 chunks = np.array_split(np.arange(len(active)), workers)
@@ -587,6 +677,10 @@ def solve_all(
             else:
                 for st in active:
                     _advance_shift(st, shared, counter)
+            if method == "cocg":
+                updated = [st for st in active if not st.broken]
+                for st, res in zip(updated, _residual_norms(A, b_arr, updated, counter)):
+                    _record(st, float(res), bnorm)
             for st in active:
                 if not st.broken and st.res <= tol * bnorm:
                     st.converged = True
@@ -613,9 +707,7 @@ def solve_all(
     solutions = np.vstack([st.x for st in states])
     final_rel_true = None
     if true_residuals:
-        final_rel_true = np.array(
-            [true_residual(A, st.sigma, b_arr, st.x, counter=counter) / bnorm for st in states]
-        )
+        final_rel_true = _residual_norms(A, b_arr, states, counter) / bnorm
     report = SolveReport(
         method=method,
         n=A.n,

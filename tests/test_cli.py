@@ -205,6 +205,16 @@ class TestRun:
             main(["--generate", "8,2,1"])
         assert exc.value.code == 2
 
+    def test_huge_shift_does_not_overflow(self, tmp_path):
+        # |sigma|^2 overflows float64; every method must still finish cleanly
+        shifts = write_shift_file(tmp_path / "s.txt", "1e300 1e300\n0.5 0.1\n")
+        assert main(["--generate", "64,5,1", "--shifts", shifts]) == EXIT_OK
+
+    def test_non_finite_shift_is_usage_error(self, tmp_path, capsys):
+        shifts = write_shift_file(tmp_path / "s.txt", "0.5 0.1\nnan 0\n")
+        assert main(["--generate", "64,5,1", "--shifts", shifts]) == EXIT_USAGE
+        assert "shifts[1]" in capsys.readouterr().err
+
     def test_zero_rhs_is_usage_error(self, tmp_path):
         rhs = tmp_path / "zero.txt"
         rhs.write_text("0.0 0.0\n0.0 0.0\n0.0 0.0\n")

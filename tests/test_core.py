@@ -122,6 +122,15 @@ class TestSparseSymMatrix:
         with pytest.raises(ValueError, match="symmetric"):
             SparseSymMatrix.from_coo(2, [0, 0, 1, 1], [0, 1, 0, 1], [1.0, 2.0, 3.0, 1.0])
 
+    def test_rejects_non_finite_entry_before_symmetry(self):
+        # a mirrored NaN pair is symmetric in pattern and position, but
+        # NaN != NaN: it must be reported as non-finite, not as asymmetric
+        nan = float("nan")
+        with pytest.raises(ValueError, match=r"non-finite entry nan at \(0,1\)"):
+            SparseSymMatrix.from_coo(2, [0, 0, 1, 1], [0, 1, 0, 1], [1.0, nan, nan, 1.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            SparseSymMatrix.from_dense(np.diag([1.0, complex(0.0, float("inf"))]))
+
     def test_rejects_structural_asymmetry(self):
         with pytest.raises(ValueError, match="symmetric"):
             SparseSymMatrix.from_coo(2, [0, 0], [0, 1], [1.0, 2.0])

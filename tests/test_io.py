@@ -104,6 +104,21 @@ class TestReadMatrixMarket:
             read_matrix_market(p)
         assert exc.value.line in (4, 5)
 
+    @pytest.mark.parametrize("symmetry", ["general", "symmetric"])
+    def test_non_finite_value_rejected_with_line(self, tmp_path, symmetry):
+        # in a general file a mirrored NaN pair must not read as asymmetric
+        p = write(
+            tmp_path / "nan.mtx",
+            f"%%MatrixMarket matrix coordinate real {symmetry}\n"
+            "2 2 3\n"
+            "1 1 1.0\n"
+            "2 1 nan\n"
+            + ("1 2 nan\n" if symmetry == "general" else "2 2 inf\n"),
+        )
+        with pytest.raises(ParseError, match="non-finite") as exc:
+            read_matrix_market(p)
+        assert exc.value.line == 4
+
     def test_general_missing_mirror_rejected(self, tmp_path):
         p = write(
             tmp_path / "bad2.mtx",

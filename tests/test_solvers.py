@@ -10,6 +10,7 @@ from shiftkrylov import (
     cocg_galerkin_update,
     estimate_residual_qmr,
     estimate_residual_qmr_b,
+    generate_hamiltonian_analog,
     make_shift_state,
     qmr_sym_b_update,
     qmr_sym_omega_update,
@@ -20,6 +21,8 @@ from shiftkrylov import (
 )
 
 from _reference import rand_complex_symmetric, rand_real_symmetric, reference_cg
+
+EPS = np.finfo(np.float64).eps
 
 
 def sparse_from(M):
@@ -48,6 +51,19 @@ def pivot_zero_matrix():
         ]
     )
     return sparse_from(M), M
+
+
+def pivot_zero_banded(n, real):
+    """Banded ``n x n`` matrix whose first two rows are those of
+    :func:`pivot_zero_matrix`: from ``e_1`` the Lanczos basis starts
+    ``e_1, e_2`` with the same coefficients, so ``sigma = 0`` meets the same
+    exactly zero elimination pivot at step 2, while the band keeps the
+    Krylov space growing for every other shift."""
+    M = generate_hamiltonian_analog(n, 4, seed=41, real=real).to_dense()
+    M[0, :] = 0.0
+    M[:, 0] = 0.0
+    M[0, 0], M[0, 1], M[1, 0], M[1, 1] = PIVOT_A1, PIVOT_B1, PIVOT_B1, PIVOT_A2
+    return sparse_from(M), e1(n)
 
 
 class TestRotationUpdate:
@@ -224,6 +240,81 @@ class TestGalerkinBaseline:
         assert rep.status == ["breakdown"]
 
 
+class TestBlockResidual:
+    # N = 600 puts 27 shifts in one residual block; 41 shifts need two
+    FAMILY = [0.0] + [0.5 + 0.05 * ell + 0.02j for ell in range(40)]
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_cocg_residual_is_explicit_at_every_step(self, real):
+        A, b = pivot_zero_banded(600, real)
+        assert A.is_real == real
+        frozen = []
+
+        def cb(n, states):
+            for st in states:
+                # a few ulps of ||b|| = 1
+                assert abs(st.res - true_residual(A, st.sigma, b, st.x)) <= 4 * EPS
+            frozen.append(states[0].res)
+
+        x, rep = solve_all(A, b, self.FAMILY, method="cocg", tol=1e-12, callback=cb)
+        assert rep.iterations > 10
+        assert rep.status[0] == "breakdown" and rep.iters[0] == 1
+        assert all(s == "converged" for s in rep.status[1:])
+        # the broken shift keeps its step-1 residual and iterate
+        assert frozen == [frozen[0]] * len(frozen)
+        assert rep.final_rel_estimate[0] == frozen[0] == true_residual(A, 0.0, b, x[0])
+
+    def test_cocg_charges_one_complex_matvec_per_residual(self):
+        A, b = pivot_zero_banded(600, real=True)
+        counter = FlopCounter()
+        _, rep = solve_all(
+            A, b, self.FAMILY, method="cocg", tol=1e-12, counter=counter, true_residuals=True
+        )
+        assert counter.matvec_real == 2 * A.nnz * rep.iterations  # the Lanczos stream
+        # one per shift per completed update, plus the final verification pass
+        assert counter.matvec_complex == 2 * A.nnz * (int(rep.iters.sum()) + rep.m)
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_cocg_shift_alone_equals_shift_in_family(self, real):
+        # N = 512 puts 32 shifts in one block; as neighbours deflate, shift 77
+        # shares its block with different shifts from step to step
+        A = generate_hamiltonian_analog(512, 8, seed=5, real=real)
+        b = e1(512)
+        family = 0.3 + 0.004 * np.arange(130) + 0.002j
+        _, fam = solve_all(A, b, family, method="cocg", tol=1e-12, record_history=True)
+        _, solo = solve_all(A, b, family[77:78], method="cocg", tol=1e-12, record_history=True)
+        assert len(set(fam.iters)) > 1
+        assert fam.history[77] == solo.history[0]
+        assert fam.iters[77] == solo.iters[0]
+        assert fam.final_rel_estimate[77] == solo.final_rel_estimate[0]
+
+    @pytest.mark.parametrize("real_matrix", [True, False])
+    @pytest.mark.parametrize("real_block", [True, False])
+    def test_block_equals_row_by_row_calls(self, real_matrix, real_block):
+        rng = np.random.default_rng(38)
+        n, k = 30, 5
+        M = rand_real_symmetric(n, rng) if real_matrix else rand_complex_symmetric(n, rng)
+        A = sparse_from(M)
+        b = rng.standard_normal(n)
+        X = rng.standard_normal((k, n))
+        if not real_block:
+            X = X + 1j * rng.standard_normal((k, n))
+        sigmas = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        counter = FlopCounter()
+        block = true_residual(A, sigmas, b, X, counter=counter)
+        rows = [true_residual(A, s, b, x) for s, x in zip(sigmas, X)]
+        assert all(isinstance(r, float) for r in rows)
+        assert block.shape == (k,) and np.array_equal(block, rows)
+        ref = [np.linalg.norm(b - M @ x - s * x) for s, x in zip(sigmas, X)]
+        assert np.allclose(block, ref, rtol=1e-13)
+        assert counter.matvec == 2 * A.nnz * k
+        assert (counter.matvec_real > 0) == (real_matrix and real_block)
+        with pytest.raises(ValueError):
+            true_residual(A, sigmas[:-1], b, X)
+        with pytest.raises(ValueError):
+            true_residual(A, sigmas, b, X[:, :-1])
+
+
 class TestResidualEstimates:
     def test_real_path_returns_quasi_residual_scalar_exactly(self):
         rng = np.random.default_rng(20)
@@ -305,6 +396,29 @@ class TestResidualEstimates:
 
 
 class TestOmegaVariant:
+    def test_shared_scaled_basis_vector_is_bit_identical(self):
+        # solve_all divides v_{n+1} by omega_{n+1} once per step; calling
+        # the update without it divides per shift, with the same result
+        rng = np.random.default_rng(39)
+        A = sparse_from(rand_complex_symmetric(12, rng))
+        b = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        sigma = 0.3 + 0.2j
+        rec = run_diagnostic(A, b, 8)
+        omegas = [float(np.linalg.norm(rec.vectors[:, k])) for k in range(9)]
+        st = make_shift_state(
+            sigma, "qmr-sym-omega", rec.g1, rec.vectors[:, 0], real_path=False, omega1=omegas[0]
+        )
+        for k in range(8):
+            qmr_sym_omega_update(
+                st, rec.alphas[k], 0.0 if k == 0 else rec.betas[k - 1], rec.betas[k],
+                rec.vectors[:, k], rec.vectors[:, k + 1],
+                (1.0 if k == 0 else omegas[k - 1], omegas[k], omegas[k + 1]),
+            )
+        x, rep = solve_all(A, b, [sigma], method="qmr-sym-omega", tol=1e-30, max_iter=8)
+        assert rep.iters[0] == 8
+        assert np.array_equal(x[0], st.x)
+        assert rep.final_rel_estimate[0] == estimate_residual_qmr(st) / rep.bnorm
+
     def test_real_problem_degenerates_to_identity_weight(self):
         rng = np.random.default_rng(24)
         M = rand_real_symmetric(15, rng)
@@ -475,6 +589,18 @@ class TestDriver:
         for k, status in enumerate(rep.status):
             if status == "converged":
                 assert rep.final_rel_estimate[k] <= rep.tol
+
+    def test_non_finite_input_names_its_index(self):
+        A = sparse_from(np.eye(3))
+        b = np.ones(3)
+        with pytest.raises(ValueError, match=r"shifts\[1\] = \(nan\+0j\) is not finite"):
+            solve_all(A, b, [0.5, float("nan"), 0.7])
+        with pytest.raises(ValueError, match=r"shifts\[0\] = infj is not finite"):
+            solve_all(A, b, [complex(0.0, float("inf")), 0.5])
+        bad = b.copy()
+        bad[2] = np.nan
+        with pytest.raises(ValueError, match=r"b\[2\] = nan is not finite"):
+            solve_all(A, bad, [0.5])
 
     def test_input_validation(self):
         A = sparse_from(np.eye(2))

@@ -106,7 +106,6 @@ class RunConfig:
     history: bool = False
     check: bool = False
     out_prefix: str | None = None
-    workers: int = 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,7 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"cross-check against the dense oracle (n <= {DEFAULT_CAP} only)",
     )
     p.add_argument("--out-prefix", metavar="PREFIX", help="write summary/history files here")
-    p.add_argument("--workers", type=int, default=1, help="threads for the per-shift loop")
     return p
 
 
@@ -169,7 +167,6 @@ def config_from_args(args) -> RunConfig:
         history=args.history,
         check=args.check,
         out_prefix=args.out_prefix,
-        workers=args.workers,
     )
     _validate(cfg)
     return cfg
@@ -184,8 +181,6 @@ def _validate(cfg: RunConfig):
         raise ValueError("tol must be positive")
     if cfg.max_iter is not None and cfg.max_iter < 1:
         raise ValueError("max-iter must be >= 1")
-    if cfg.workers < 1:
-        raise ValueError("workers must be >= 1")
     if cfg.history and not cfg.out_prefix:
         raise ValueError("--history needs --out-prefix to write the CSV to")
     if cfg.method not in METHODS + ("all",):
@@ -265,7 +260,6 @@ def run(cfg: RunConfig) -> int:
                 record_history=cfg.history,
                 true_residuals=cfg.check,
                 counter=counter,
-                workers=cfg.workers,
             )
         except BreakdownError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -101,45 +101,17 @@ def bilinear_dot(u, v):
     return _sum_all(u * v)
 
 
-def _row_reduce_real(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    n = len(indptr) - 1
-    out = np.zeros(n, dtype=np.float64)
-    if values.size == 0:
-        return out
-    nonempty = indptr[:-1] < indptr[1:]
-    if nonempty.all():
-        out[:] = np.add.reduceat(values, indptr[:-1])
-    else:
-        out[nonempty] = np.add.reduceat(values, indptr[:-1][nonempty])
-    return out
-
-
-def _row_reduce(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Sum ``values`` over the segments delimited by ``indptr`` (CSR rows).
-
-    Empty rows yield exact zeros. Complex data is reduced as two float64
-    passes so that the real and complex paths stay bitwise consistent on
-    real data.
-    """
-    if values.dtype.kind == "c":
-        return _row_reduce_real(np.ascontiguousarray(values.real), indptr) + 1j * _row_reduce_real(
-            np.ascontiguousarray(values.imag), indptr
-        )
-    return _row_reduce_real(values, indptr)
-
-
 class SparseSymMatrix:
     """Sparse symmetric matrix in compressed-row form, storing both triangles.
 
-    The stored pattern covers the full symmetric structure so a single row
-    sweep computes a matvec. Symmetry means ``A^T = A`` (no conjugation);
+    The stored pattern covers the full symmetric structure, so one CSR
+    product computes a matvec. Symmetry means ``A^T = A`` (no conjugation);
     the constructor verifies it exactly, entry for entry. Values are kept as
     float64 when every imaginary part is exactly zero (``is_real``), complex128
     otherwise, so real problems automatically run on the real fast path.
 
-    Instances are immutable after construction and safe to share across
-    concurrent readers; the cached :attr:`csr` view is built on first use,
-    at worst once per concurrent first reader.
+    Instances are immutable after construction; the cached :attr:`csr` view
+    is built on first use.
     """
 
     __slots__ = ("n", "indptr", "indices", "data", "is_real", "_csr")
@@ -241,8 +213,10 @@ class SparseSymMatrix:
 
     @property
     def csr(self) -> scipy.sparse.csr_array:
-        """The same matrix as a ``scipy.sparse`` CSR array, for block
-        products; built on first use (not at construction) and cached."""
+        """The same matrix as a ``scipy.sparse`` CSR array, sharing the
+        stored pattern. Every sparse product in the package (:func:`spmv` and
+        the block residuals) multiplies through it. Built on first use, not
+        at construction, and cached."""
         if self._csr is None:
             self._csr = scipy.sparse.csr_array(
                 (self.data, self.indices, self.indptr), shape=(self.n, self.n)
@@ -276,19 +250,39 @@ class SparseSymMatrix:
         return f"SparseSymMatrix(n={self.n}, nnz={self.nnz}, {kind})"
 
 
-def spmv(A: SparseSymMatrix, v, counter: "FlopCounter | None" = None) -> np.ndarray:
-    """Sparse matvec ``A @ v`` as a row sweep over the stored pattern.
+def _csr_product(A: SparseSymMatrix, X) -> np.ndarray:
+    """``A @ X`` for ``X`` of shape ``(N,)`` or ``(N, k)``, through
+    :attr:`SparseSymMatrix.csr`.
 
-    A real matrix applied to a real vector runs entirely in float64; any
-    complex operand promotes the whole product to complex128. The per-row
-    reduction order is fixed, so repeated calls are bit-reproducible and the
-    real/complex paths agree bitwise on real data.
+    ``X`` is made C-contiguous and promoted to at least float64. A real ``A``
+    multiplies a complex ``X`` as its float64 view with twice the columns, so
+    the product stays in real arithmetic: its real and imaginary parts are
+    bitwise the products of ``X.real`` and ``X.imag``. Each row sums its
+    products in stored column order, for every column alike, so a column's
+    result does not depend on the other columns of ``X``.
+    """
+    X = np.ascontiguousarray(X, dtype=np.result_type(X, np.float64))
+    if A.is_real and X.dtype.kind == "c":
+        R = A.csr @ X.view(np.float64).reshape(A.n, -1)
+        return R.view(np.complex128).reshape(X.shape)
+    return A.csr @ X
+
+
+def spmv(A: SparseSymMatrix, v, counter: "FlopCounter | None" = None) -> np.ndarray:
+    """Sparse matvec ``A @ v`` through the cached ``scipy.sparse`` view
+    :attr:`SparseSymMatrix.csr`.
+
+    A real matrix applied to a real vector runs entirely in float64, a
+    complex matrix promotes the product to complex128. A real matrix applied
+    to a complex vector stays in real arithmetic, so the result equals
+    ``spmv(A, v.real) + 1j * spmv(A, v.imag)`` bitwise and the real/complex
+    paths agree bitwise on real data. Any input layout is accepted
+    (non-contiguous, read-only); repeated calls are bit-reproducible.
     """
     v = np.asarray(v)
     if v.shape != (A.n,):
         raise ValueError(f"vector length {v.shape} does not match matrix dimension {A.n}")
-    prod = A.data * v[A.indices]
-    out = _row_reduce(prod, A.indptr)
+    out = _csr_product(A, v)
     if counter is not None:
         counter.add_matvec(A.nnz, real=A.is_real and v.dtype.kind != "c")
     return out

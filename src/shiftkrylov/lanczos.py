@@ -183,22 +183,6 @@ class LanczosRecord:
     def steps(self) -> int:
         return len(self.alphas)
 
-    def tridiagonal(self, sigma=0.0, rectangular: bool = True) -> np.ndarray:
-        """Materialize ``T_{n+1,n} + sigma [I; 0]`` (or the square ``T_n +
-        sigma I`` when ``rectangular`` is false) from the recorded
-        coefficients."""
-        n = self.steps
-        dtype = np.result_type(self.alphas.dtype, self.betas.dtype, type(sigma))
-        rows = n + 1 if rectangular else n
-        T = np.zeros((rows, n), dtype=dtype)
-        for k in range(n):
-            T[k, k] = self.alphas[k] + sigma
-            if k + 1 < n:
-                T[k, k + 1] = self.betas[k]
-            if k + 1 < rows:
-                T[k + 1, k] = self.betas[k]
-        return T
-
 
 def run_diagnostic(A: SparseSymMatrix, b, steps: int) -> LanczosRecord:
     """Run up to ``steps`` Lanczos steps keeping the whole basis.

@@ -27,21 +27,22 @@ shift:
 The multi-shift driver :func:`solve_all` runs one Lanczos step per iteration,
 then applies the chosen kernel to every shift that has not yet converged
 (deflation) or broken down. Each shift's arithmetic is self-contained, so
-results are independent of how the per-shift loop is scheduled and of which
-other shifts share a residual block.
+results are independent of which other shifts are solved alongside it or
+share its residual block.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import BreakdownError, FlopCounter, ShiftSet, SparseSymMatrix, _csr_product
+
 # spmv stays a name of this module: perfbench/spans.py wraps solvers.spmv
-from .core import BreakdownError, FlopCounter, ShiftSet, SparseSymMatrix, spmv  # noqa: F401
+from .core import spmv  # noqa: F401
 from .lanczos import LanczosStep, lanczos_init, lanczos_step
 
 __all__ = [
@@ -373,10 +374,10 @@ def true_residual(A: SparseSymMatrix, sigma, b, x, counter: FlopCounter | None =
     ``(k,)`` and ``x`` shape ``(k, N)``, one iterate per row; the ``k`` norms
     come back as an array from one sparse product ``A X^T`` over the whole
     block (no copy is needed when ``x`` is the transpose of a C-contiguous
-    ``(N, k)`` array). A real ``A`` multiplies complex iterates as a float64
-    view with ``2k`` real columns. Each norm is taken over its own
-    contiguous row, so a shift's value does not depend on which other rows
-    share its block. Each row is charged as one matvec.
+    ``(N, k)`` array). It runs through the same kernel as :func:`spmv`, so
+    each column of ``A X^T`` is bitwise ``spmv(A, x_l)``. Each norm is taken
+    over its own contiguous row, so a shift's value does not depend on which
+    other rows share its block. Each row is charged as one matvec.
     """
     b = np.asarray(b)
     x = np.asarray(x)
@@ -385,10 +386,7 @@ def true_residual(A: SparseSymMatrix, sigma, b, x, counter: FlopCounter | None =
     if b.shape != (A.n,) or X.ndim != 2 or X.shape[1] != A.n or sigmas.shape != (len(X),):
         raise ValueError("dimension mismatch")
     XT = np.ascontiguousarray(X.T, dtype=np.result_type(X, np.float64))
-    if A.is_real and XT.dtype.kind == "c":
-        RT = (A.csr @ XT.view(np.float64)).view(np.complex128)
-    else:
-        RT = A.csr @ XT
+    RT = _csr_product(A, XT)
     # R^T = (b - A X^T) - X^T diag(sigma), formed in the product's buffer
     # when the dtypes allow; every entry is rounded as in b - A x - sigma x
     dtype = np.result_type(RT, b, sigmas, XT)
@@ -534,7 +532,6 @@ def solve_all(
     record_history: bool = False,
     true_residuals: bool = False,
     counter: FlopCounter | None = None,
-    workers: int = 1,
     callback=None,
 ):
     """Solve ``(A + sigma_l I) x = b`` for every shift over one Lanczos run.
@@ -560,9 +557,6 @@ def solve_all(
         Append an explicit end-of-solve residual verification pass.
     counter : FlopCounter, optional
         Accumulates operation counts; a fresh counter is used if omitted.
-    workers : int
-        Size of the thread pool for the per-shift loop. Every shift's
-        arithmetic is self-contained, so results do not depend on this.
     callback : callable, optional
         Invoked after each iteration as ``callback(n, states)`` with the live
         per-shift states (read-only use).
@@ -590,8 +584,6 @@ def solve_all(
         max_iter = 2 * A.n
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     b_arr = np.asarray(b)
     _check_finite(shifts.shifts, "shifts")
     _check_finite(b_arr, "b")
@@ -623,77 +615,54 @@ def solve_all(
         if st.res <= tol * bnorm:
             st.converged = True
 
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     iterations = 0
     lucky = False
     lanczos_failure = None
     omega_nm1 = None
     omega_n = omega1
-    try:
-        for n in range(1, max_iter + 1):
-            active = [st for st in states if not st.converged and not st.broken]
-            if not active:
-                break
-            try:
-                step = lanczos_step(lstate, A, counter=counter)
-            except BreakdownError as exc:
-                lanczos_failure = str(exc)
-                for st in active:
-                    st.broken = True
-                    st.failure = lanczos_failure
-                break
-            iterations = n
-            v_next_norm = float(np.linalg.norm(step.v_next))
-            # omega_{n-1} multiplies beta_{n-1}, which is zero at step 1
-            omegas = (
-                (omega_nm1 if omega_nm1 is not None else 1.0, omega_n, v_next_norm)
-                if omega_method
-                else None
-            )
-            shared = _SharedStep(
-                step=step,
-                v_next_norm=v_next_norm,
-                omegas=omegas,
-                v_next_scaled=_scaled_next(step.v_next, v_next_norm) if omega_method else None,
-                bnorm=bnorm,
-            )
-            if pool is not None and len(active) > 1:
-                chunks = np.array_split(np.arange(len(active)), workers)
-                locals_ = [counter.__class__() for _ in chunks]
-
-                def run_chunk(idx, cnt):
-                    for k in idx:
-                        _advance_shift(active[k], shared, cnt)
-
-                futures = [
-                    pool.submit(run_chunk, chunk, cnt)
-                    for chunk, cnt in zip(chunks, locals_)
-                    if len(chunk)
-                ]
-                for fut in futures:
-                    fut.result()
-                for cnt in locals_:
-                    counter.merge(cnt)
-            else:
-                for st in active:
-                    _advance_shift(st, shared, counter)
-            if method == "cocg":
-                updated = [st for st in active if not st.broken]
-                for st, res in zip(updated, _residual_norms(A, b_arr, updated, counter)):
-                    _record(st, float(res), bnorm)
+    for n in range(1, max_iter + 1):
+        active = [st for st in states if not st.converged and not st.broken]
+        if not active:
+            break
+        try:
+            step = lanczos_step(lstate, A, counter=counter)
+        except BreakdownError as exc:
+            lanczos_failure = str(exc)
             for st in active:
-                if not st.broken and st.res <= tol * bnorm:
-                    st.converged = True
-            if callback is not None:
-                callback(n, states)
-            if step.lucky:
-                lucky = True
-                break
-            if omega_method:
-                omega_nm1, omega_n = omega_n, v_next_norm
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                st.broken = True
+                st.failure = lanczos_failure
+            break
+        iterations = n
+        v_next_norm = float(np.linalg.norm(step.v_next))
+        # omega_{n-1} multiplies beta_{n-1}, which is zero at step 1
+        omegas = (
+            (omega_nm1 if omega_nm1 is not None else 1.0, omega_n, v_next_norm)
+            if omega_method
+            else None
+        )
+        shared = _SharedStep(
+            step=step,
+            v_next_norm=v_next_norm,
+            omegas=omegas,
+            v_next_scaled=_scaled_next(step.v_next, v_next_norm) if omega_method else None,
+            bnorm=bnorm,
+        )
+        for st in active:
+            _advance_shift(st, shared, counter)
+        if method == "cocg":
+            updated = [st for st in active if not st.broken]
+            for st, res in zip(updated, _residual_norms(A, b_arr, updated, counter)):
+                _record(st, float(res), bnorm)
+        for st in active:
+            if not st.broken and st.res <= tol * bnorm:
+                st.converged = True
+        if callback is not None:
+            callback(n, states)
+        if step.lucky:
+            lucky = True
+            break
+        if omega_method:
+            omega_nm1, omega_n = omega_n, v_next_norm
 
     wall = time.perf_counter() - t0
     status = []

@@ -21,7 +21,6 @@ def test_parser_defaults_match_protocol():
     assert args.rhs is None  # falls back to e_1
     assert args.method == "all"
     assert args.max_iter is None  # falls back to 2n
-    assert args.workers == 1
 
 
 class TestGenerator:
@@ -236,7 +235,7 @@ class TestRun:
 
 
 class TestDeterminism:
-    def run_once(self, tmp_path, tag, workers="1"):
+    def run_once(self, tmp_path, tag):
         shifts = write_shift_file(tmp_path / "s.txt", "range 0.4 0.01 0.001 20\n")
         prefix = str(tmp_path / tag)
         code = main(
@@ -246,7 +245,6 @@ class TestDeterminism:
                 "--method", "all",
                 "--history",
                 "--tol", "1e-12",
-                "--workers", workers,
                 "--out-prefix", prefix,
             ]
         )
@@ -264,9 +262,3 @@ class TestDeterminism:
         assert first.keys() == second.keys()
         for key in first:
             assert first[key] == second[key], key
-
-    def test_workers_do_not_change_output(self, tmp_path):
-        one = self.run_once(tmp_path, "w1", workers="1")
-        four = self.run_once(tmp_path, "w4", workers="4")
-        for key in one:
-            assert one[key] == four[key], key

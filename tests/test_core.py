@@ -8,6 +8,7 @@ from shiftkrylov import (
     bilinear_dot,
     principal_sqrt,
     spmv,
+    true_residual,
 )
 
 from _reference import rand_complex_symmetric
@@ -86,6 +87,8 @@ class TestSpmv:
         A, M = dense_pair(n, rng)
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         assert np.max(np.abs(spmv(A, v) - M @ v)) <= 1e-14
+        # a complex matrix with a real vector
+        assert np.max(np.abs(spmv(A, v.real) - M @ v.real)) <= 1e-14
 
     def test_real_and_complex_paths_agree_bitwise(self):
         rng = np.random.default_rng(5)
@@ -97,11 +100,45 @@ class TestSpmv:
         cplx = spmv(A, v.astype(complex))
         assert np.array_equal(cplx.real, real)
         assert np.all(cplx.imag == 0.0)
+        # a real matrix keeps a complex vector in real arithmetic
+        w = v + 1j * rng.standard_normal(30)
+        assert np.array_equal(spmv(A, w), spmv(A, w.real) + 1j * spmv(A, w.imag))
 
     def test_empty_rows_give_exact_zeros(self):
         A = SparseSymMatrix.from_coo(3, [0, 2], [0, 2], [1.5, 2.5])
         out = spmv(A, np.array([1.0, 7.0, 2.0]))
         assert np.array_equal(out, np.array([1.5, 0.0, 5.0]))
+
+    @pytest.mark.parametrize("complex_matrix", [False, True])
+    def test_any_layout_gives_the_contiguous_result(self, complex_matrix):
+        rng = np.random.default_rng(6)
+        A, M = dense_pair(25, rng)
+        if not complex_matrix:
+            A = SparseSymMatrix.from_dense(M.real)
+        w = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+        for v in (w[::2], w.real[::2], w[:25].imag):  # strided views
+            assert not v.flags.c_contiguous
+            assert np.array_equal(spmv(A, v), spmv(A, v.copy()))
+        frozen = w[:25].copy()
+        frozen.setflags(write=False)
+        assert np.array_equal(spmv(A, frozen), spmv(A, w[:25].copy()))
+
+    @pytest.mark.parametrize("complex_matrix", [False, True])
+    @pytest.mark.parametrize("complex_vector", [False, True])
+    def test_block_residual_product_equals_spmv(self, complex_matrix, complex_vector):
+        # one kernel, one answer: with b = spmv(A, x_0) and sigma = 0, row 0
+        # of a block residual is exactly zero only if the block product
+        # reproduces spmv's column bit for bit (rows here hold 30 entries)
+        rng = np.random.default_rng(7)
+        A, M = dense_pair(30, rng)
+        if not complex_matrix:
+            A = SparseSymMatrix.from_dense(M.real)
+        X = rng.standard_normal((3, 30))
+        if complex_vector:
+            X = X + 1j * rng.standard_normal((3, 30))
+        res = true_residual(A, np.zeros(3), spmv(A, X[0]), X)
+        assert res[0] == 0.0
+        assert np.all(res[1:] > 0.0)
 
     def test_dimension_mismatch(self):
         A = SparseSymMatrix.from_dense(np.eye(3))

@@ -558,18 +558,6 @@ class TestDriver:
         assert rep.final_rel_true is not None
         assert rep.final_rel_true[0] <= 10 * rep.tol
 
-    def test_workers_do_not_change_results(self):
-        rng = np.random.default_rng(31)
-        A = sparse_from(rand_real_symmetric(20, rng))
-        b = rng.standard_normal(20)
-        shifts = [0.1 * k + 0.01j for k in range(1, 8)]
-        x1, r1 = solve_all(A, b, shifts, method="qmr-sym-b", tol=1e-12, workers=1)
-        x3, r3 = solve_all(A, b, shifts, method="qmr-sym-b", tol=1e-12, workers=3)
-        assert np.array_equal(x1, x3)
-        assert np.array_equal(r1.iters, r3.iters)
-        assert np.array_equal(r1.final_rel_estimate, r3.final_rel_estimate)
-        assert r1.flops.shift_update == r3.flops.shift_update
-
     def test_tolerance_at_or_above_one_converges_without_iterating(self):
         # x_0 = 0 has relative residual exactly 1, inside any tol >= 1
         A = sparse_from(np.diag([2.0, 3.0]))
@@ -611,8 +599,6 @@ class TestDriver:
             solve_all(A, b, [0.5], tol=0.0)
         with pytest.raises(ValueError, match="max_iter"):
             solve_all(A, b, [0.5], max_iter=0)
-        with pytest.raises(ValueError, match="workers"):
-            solve_all(A, b, [0.5], workers=0)
 
 
 class TestCostAccounting:

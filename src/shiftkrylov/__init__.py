@@ -45,12 +45,10 @@ from .oracle import (
 )
 from .solvers import (
     METHODS,
-    ShiftSystemState,
     SolveReport,
     cocg_galerkin_update,
     estimate_residual_qmr,
     estimate_residual_qmr_b,
-    make_shift_state,
     qmr_sym_b_update,
     qmr_sym_omega_update,
     qmr_sym_update,
@@ -71,7 +69,6 @@ __all__ = [
     "ParseError",
     "RunConfig",
     "ShiftSet",
-    "ShiftSystemState",
     "SingularMatrixError",
     "SolveReport",
     "SparseSymMatrix",
@@ -87,7 +84,6 @@ __all__ = [
     "generate_hamiltonian_analog",
     "lanczos_init",
     "lanczos_step",
-    "make_shift_state",
     "principal_sqrt",
     "qmr_sym_b_update",
     "qmr_sym_omega_update",

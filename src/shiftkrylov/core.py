@@ -358,12 +358,6 @@ class FlopCounter:
     def add_least_squares(self, ops: int):
         self.least_squares += ops
 
-    def merge(self, other: "FlopCounter"):
-        self.matvec_real += other.matvec_real
-        self.matvec_complex += other.matvec_complex
-        self.shift_update += other.shift_update
-        self.least_squares += other.least_squares
-
     def snapshot(self) -> "FlopCounter":
         return FlopCounter(
             self.matvec_real, self.matvec_complex, self.shift_update, self.least_squares

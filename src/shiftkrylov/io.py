@@ -24,6 +24,8 @@ after the header as usual.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .core import ShiftSet, SparseSymMatrix
@@ -108,42 +110,10 @@ def read_matrix_market(path) -> SparseSymMatrix:
     if nrows < 1 or nnz < 0:
         raise ParseError(path, lineno, "invalid dimensions")
 
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz, dtype=np.complex128)
-    entry_line = np.empty(nnz, dtype=np.int64)
-    count = 0
-    for k in range(lineno, len(lines)):
-        text = lines[k]
-        if not text.strip():
-            if any(t.strip() for t in lines[k + 1:]):
-                raise ParseError(path, k + 1, "blank line inside data section")
-            break
-        if count >= nnz:
-            raise ParseError(path, k + 1, f"more than the declared {nnz} entries")
-        toks = text.split()
-        if len(toks) != ntok:
-            raise ParseError(path, k + 1, f"expected {ntok} tokens, got {len(toks)}")
-        try:
-            i = int(toks[0])
-            j = int(toks[1])
-            re = float(toks[2])
-            im = float(toks[3]) if field == "complex" else 0.0
-        except ValueError:
-            raise ParseError(path, k + 1, "malformed entry") from None
-        if not (1 <= i <= nrows and 1 <= j <= ncols):
-            raise ParseError(path, k + 1, f"index ({i},{j}) out of range for {nrows}x{ncols}")
-        if symmetry == "symmetric" and i < j:
-            raise ParseError(
-                path, k + 1, f"entry ({i},{j}) above the diagonal in a symmetric file"
-            )
-        rows[count] = i - 1
-        cols[count] = j - 1
-        vals[count] = complex(re, im)
-        entry_line[count] = k + 1
-        count += 1
-    if count != nnz:
-        raise ParseError(path, len(lines) + 1, f"expected {nnz} entries, found {count}")
+    parsed = _bulk_entries(lines, lineno, nnz, ntok, nrows, symmetry == "symmetric")
+    if parsed is None:
+        parsed = _scan_entries(path, lines, lineno, nnz, ntok, nrows, symmetry == "symmetric")
+    rows, cols, vals, entry_line = parsed
     nonfinite = np.flatnonzero(~np.isfinite(vals))
     if len(nonfinite):
         raise ParseError(path, int(entry_line[nonfinite[0]]), "non-finite value")
@@ -187,6 +157,76 @@ def read_matrix_market(path) -> SparseSymMatrix:
         return SparseSymMatrix.from_coo(nrows, rows, cols, vals)
     except ValueError as exc:
         raise ParseError(path, 1, str(exc)) from None
+
+
+def _bulk_entries(lines, lineno, nnz, ntok, n, symmetric):
+    """Parse a well-formed data section in one pass, or return ``None`` when
+    anything in it is off; :func:`_scan_entries` then finds the first fault.
+    NumPy's parser accepts a subset of what ``int``/``float`` accept, with the
+    same values."""
+    end = len(lines)
+    while end > lineno and not lines[end - 1].strip():
+        end -= 1
+    body = lines[lineno:end]
+    if nnz == 0 or len(body) != nnz:
+        return None
+    dtype = [("i", np.int64), ("j", np.int64), ("re", np.float64), ("im", np.float64)][:ntok]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = np.loadtxt(body, dtype=dtype, comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    i, j = data["i"], data["j"]
+    if len(data) != nnz or min(i.min(), j.min()) < 1 or max(i.max(), j.max()) > n:
+        return None
+    if symmetric and (i < j).any():
+        return None
+    vals = np.zeros(nnz, dtype=np.complex128)
+    vals.real = data["re"]
+    if ntok == 4:
+        vals.imag = data["im"]
+    return i - 1, j - 1, vals, np.arange(lineno + 1, lineno + 1 + nnz)
+
+
+def _scan_entries(path, lines, lineno, nnz, ntok, n, symmetric):
+    """Parse the data section line by line, raising :class:`ParseError` at
+    the first malformed line."""
+    rows, cols, entry_line = (np.empty(nnz, dtype=np.int64) for _ in range(3))
+    vals = np.empty(nnz, dtype=np.complex128)
+    count = 0
+    for k in range(lineno, len(lines)):
+        text = lines[k]
+        if not text.strip():
+            if any(t.strip() for t in lines[k + 1:]):
+                raise ParseError(path, k + 1, "blank line inside data section")
+            break
+        if count >= nnz:
+            raise ParseError(path, k + 1, f"more than the declared {nnz} entries")
+        toks = text.split()
+        if len(toks) != ntok:
+            raise ParseError(path, k + 1, f"expected {ntok} tokens, got {len(toks)}")
+        try:
+            i = int(toks[0])
+            j = int(toks[1])
+            re = float(toks[2])
+            im = float(toks[3]) if ntok == 4 else 0.0
+        except ValueError:
+            raise ParseError(path, k + 1, "malformed entry") from None
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ParseError(path, k + 1, f"index ({i},{j}) out of range for {n}x{n}")
+        if symmetric and i < j:
+            raise ParseError(
+                path, k + 1, f"entry ({i},{j}) above the diagonal in a symmetric file"
+            )
+        rows[count] = i - 1
+        cols[count] = j - 1
+        vals[count] = complex(re, im)
+        entry_line[count] = k + 1
+        count += 1
+    if count != nnz:
+        raise ParseError(path, len(lines) + 1, f"expected {nnz} entries, found {count}")
+    return rows, cols, vals, entry_line
 
 
 def write_matrix_market(A: SparseSymMatrix, path) -> None:

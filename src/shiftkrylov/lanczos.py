@@ -44,13 +44,11 @@ TERMINATION_TOL = 1e-14
 @dataclass
 class LanczosState:
     """Rolling state of the recurrence: the two newest basis vectors and the
-    coefficients of the last completed step."""
+    last ``beta``, which the next step needs as its ``beta_{n-1}``."""
 
     v_prev: np.ndarray
     v_curr: np.ndarray
-    alpha: complex
     beta_prev: complex
-    beta: complex
     g1: complex
     bnorm2: float
     n: int = 0
@@ -103,9 +101,7 @@ def lanczos_init(
     return LanczosState(
         v_prev=np.zeros_like(v1),
         v_curr=v1,
-        alpha=0.0,
         beta_prev=0.0,
-        beta=0.0,
         g1=g1,
         bnorm2=bnorm2,
     )
@@ -160,9 +156,7 @@ def lanczos_step(
     )
     state.v_prev = v
     state.v_curr = v_next
-    state.alpha = alpha
     state.beta_prev = beta
-    state.beta = beta
     state.n = n
     return step
 

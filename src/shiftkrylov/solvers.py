@@ -1,7 +1,6 @@
-"""Per-shift update engines over one shared Lanczos stream.
+"""Batched multi-shift update engine over one shared Lanczos stream.
 
-Four method kernels consume the same Lanczos step data, one state object per
-shift:
+Four methods consume the same Lanczos step data:
 
 * ``qmr-sym`` -- quasi-minimal residual via Givens rotations on the shifted
   tridiagonal column; three-term direction recurrence (6N+3 update ops per
@@ -17,25 +16,35 @@ shift:
   through the *same* two-term recurrences as ``qmr-sym-b`` (the projected
   Galerkin system and the bidiagonal-weight least-squares problem have the
   same solution). It is kept as a distinct method because its reported
-  residuals are computed explicitly as ``||b - (A + sigma I) x||`` instead of
-  through the recurrence shortcut, giving an independent reporting route.
-  After the per-shift updates of a step, the explicit residuals of all its
-  updated shifts come from one sparse block product ``A X^T`` per block of
-  at most ``2**14`` iterate entries (:func:`true_residual`), not from one
-  matvec per shift.
+  residuals are computed explicitly as ``||b - (A + sigma I) x||``, one
+  sparse block product ``A X^T`` per block of at most ``2**14`` iterate
+  entries (:func:`true_residual`).
 
-The multi-shift driver :func:`solve_all` runs one Lanczos step per iteration,
-then applies the chosen kernel to every shift that has not yet converged
-(deflation) or broken down. Each shift's arithmetic is self-contained, so
-results are independent of which other shifts are solved alongside it or
-share its residual block.
+All shifts of a solve live in one :class:`ShiftBatch`, one row per shift of
+the ``m x N`` arrays ``X``, ``P1`` (``P2``) and, where an estimate needs it,
+``W``; the scalar state is a set of ``m``-vectors. The active shifts form a
+contiguous prefix of the rows. A method's update runs its scalar recurrence
+once per Lanczos step over that prefix and emits per shift the coefficients
+of ``p_n = v_n - a_n p_{n-1} - b_n p_{n-2}`` (``b_n = 0`` for the two-term
+methods) and ``x_n = x_{n-1} + d_n p_n``. It keeps ``v_n`` in a window of
+``c = max(1, _WINDOW_ELEMS // N)`` steps. When the window fills, one backward
+sweep over the coefficients expresses ``x`` and the carried directions in
+the window's basis vectors, and one GEMM per row block applies them (the
+deferred assembly of Frommer and Simoncini, "Matrix functions", *Model Order
+Reduction*, 2008). A shift that deflates or breaks down is assembled the
+same way at once, the others at the end; memory is ``O(mN + cN)``. ``cocg``
+and any solve with a callback need live iterates at every step: they use a
+window of one step, the streaming update ``P = v - aP; X += dP`` in
+cache-sized row blocks. Every product rounds a shift's row independently of
+the rows computed with it (see the notes at the products), so a shift's
+results do not depend on which other shifts are solved alongside it.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -47,12 +56,11 @@ from .lanczos import LanczosStep, lanczos_init, lanczos_step
 
 __all__ = [
     "METHODS",
-    "ShiftSystemState",
+    "ShiftBatch",
     "SolveReport",
     "cocg_galerkin_update",
     "estimate_residual_qmr",
     "estimate_residual_qmr_b",
-    "make_shift_state",
     "qmr_sym_b_update",
     "qmr_sym_omega_update",
     "qmr_sym_update",
@@ -66,304 +74,366 @@ METHODS = ("cocg", "qmr-sym", "qmr-sym-b", "qmr-sym-omega")
 _LSQ_OPS_ROTATION = 26
 _LSQ_OPS_ELIMINATION = 8
 
-# Iterate entries per explicit-residual block: solve_all hands
-# max(1, _BLOCK_ELEMS // N) shifts at a time to true_residual, which bounds
-# the block's temporaries to a few times this many complex entries.
+# Iterate entries per row block of the streaming updates, the explicit
+# residuals and the flush products: max(1, _BLOCK_ELEMS // N) shifts at a time
+# (fewer for a flush that also advances directions), which bounds the
+# temporaries to a few times this many complex entries.
 _BLOCK_ELEMS = 2**14
 
+# Basis entries per assembly window: c = max(1, _WINDOW_ELEMS // N) steps.
+_WINDOW_ELEMS = 2**17
+# Steps per window at most. Beyond 384 steps OpenBLAS's dgemm splits the
+# inner dimension in its regular kernel but not in its small-matrix kernel,
+# so a row's bits would depend on how many rows share its product.
+_MAX_WINDOW = 256
 
-@dataclass(slots=True)
-class ShiftSystemState:
-    """Per-shift solver state; field usage depends on the method.
 
-    The rotation methods keep the last two direction vectors, rotated-column
-    diagonals and Givens pairs; the elimination methods keep one direction
-    vector, one diagonal and the last elimination scalar. ``g`` always holds
-    the current quasi-residual scalar (``g_{n+1}`` respectively
-    ``g~_{n+1}`` after an update). Once ``converged`` or ``broken`` is set
-    the state is frozen.
+class ShiftBatch:
+    """State of every shift of one solve, one row per shift.
+
+    ``window`` is the number of Lanczos steps assembled at once: one with
+    ``stream=True`` (``X`` live after every step), otherwise
+    ``min(max(1, _WINDOW_ELEMS // N), _MAX_WINDOW, max_iter)``; between
+    flushes ``X`` holds the iterates at the window's start. Rows ``:na`` are
+    the active shifts, ``perm[r]`` is the shift in row ``r`` and ``row[l]``
+    the row of shift ``l``. ``bad`` marks the rows whose pivot vanished at
+    the last step (or is ``None``): they keep their previous step's state.
     """
 
-    sigma: complex
-    method: str
-    x: np.ndarray
-    g: complex
-    real_path: bool
-    p_prev: np.ndarray | None = None
-    p_prev2: np.ndarray | None = None
-    diag_prev: complex = 0.0
-    diag_prev2: complex = 0.0
-    rot_prev: tuple | None = None
-    rot_prev2: tuple | None = None
-    f_prev: complex | None = None
-    w: np.ndarray | None = None
-    converged: bool = False
-    broken: bool = False
-    failure: str | None = None
-    niter: int = 0
-    res: float = np.inf
-    history: list | None = None
-
-
-def make_shift_state(
-    sigma,
-    method: str,
-    g1,
-    v1: np.ndarray,
-    real_path: bool,
-    record_history: bool = False,
-    omega1: float | None = None,
-) -> ShiftSystemState:
-    """Initial state for one shift: ``x_0 = 0``, quasi-residual ``g_1``.
-
-    For ``qmr-sym`` on the complex path the residual-estimate vector starts
-    as ``w_1 = v_1``; the omega variant scales ``g_1`` by ``omega_1`` and
-    starts from ``w_1 = v_1 / omega_1``.
-    """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    sigma = complex(sigma)
-    x = np.zeros(len(v1), dtype=np.complex128)
-    g = complex(g1)
-    w = None
-    if method == "qmr-sym" and not real_path:
-        w = v1.astype(np.complex128)
-    elif method == "qmr-sym-omega":
-        if omega1 is None:
+    def __init__(self, method, shifts, g1, v1, max_iter, stream=False, record_history=False):
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        self.sigma = np.array(shifts, dtype=np.complex128).ravel()
+        m, n = len(self.sigma), len(v1)
+        self.m, self.n, self.na = m, n, m
+        self.real = v1.dtype.kind != "c"
+        self.perm, self.row = np.arange(m), np.arange(m)
+        self.g = np.full(m, complex(g1))
+        self.res = np.full(m, np.inf)
+        self.niter = np.zeros(m, dtype=np.int64)
+        self.X = np.zeros((m, n), dtype=np.complex128)
+        self.P1 = np.zeros_like(self.X)
+        rotation = method in ("qmr-sym", "qmr-sym-omega")
+        self.P2 = np.zeros_like(self.X) if rotation else None
+        self.W = None
+        if method == "qmr-sym-omega":
             omega1 = float(np.linalg.norm(v1))
-        g = omega1 * g
-        w = v1.astype(np.complex128) / omega1
-    return ShiftSystemState(
-        sigma=sigma,
-        method=method,
-        x=x,
-        g=g,
-        real_path=real_path,
-        w=w,
-        history=[] if record_history else None,
-    )
+            self.omegas = (1.0, omega1)  # omega_{n-1} multiplies beta_0 = 0
+            self.g *= omega1
+            self.W = np.tile(v1.astype(np.complex128) / omega1, (m, 1))
+        elif method == "qmr-sym" and not self.real:
+            self.W = np.tile(v1.astype(np.complex128), (m, 1))
+        self.diag1 = np.zeros(m, dtype=np.complex128)
+        fields = ["sigma", "perm", "g", "res", "niter", "X", "P1", "diag1"]
+        if rotation:
+            self.diag2, self.s1, self.s2 = (np.zeros(m, dtype=np.complex128) for _ in range(3))
+            self.c1, self.c2 = np.zeros(m), np.zeros(m)
+            fields += ["P2", "diag2", "c1", "s1", "c2", "s2"]
+        else:
+            self.f = np.zeros(m, dtype=np.complex128)
+            fields.append("f")
+        self._fields = fields + (["W"] if self.W is not None else [])
+        self.status, self.failure = ["unconverged"] * m, [None] * m
+        self.history = [] if record_history else None
+        self.bad = None
+        self.window = 1 if stream else min(max(1, _WINDOW_ELEMS // n), _MAX_WINDOW, max_iter)
+        self.k = 0  # steps held in the window
+        if self.window > 1:
+            # columns padded to a multiple of 8: OpenBLAS's small dgemm
+            # kernel otherwise rounds a row by its position among the rows
+            self.Vw = np.zeros((self.window, -(-n // 8) * 8), dtype=v1.dtype)
+            # coefficient rows 0 and 1 stand for the carried p_{s-2}, p_{s-1}
+            shape = (self.window + 2, m)
+            self.Dw, self.Aw = np.zeros(shape, complex), np.zeros(shape, complex)
+            self.Bw = np.zeros(shape, complex) if rotation else None
+
+    def _pivots(self, t, n, kind, what):
+        """Mark the rows with a zero pivot ``t`` as broken down at step ``n``
+        and return ``t`` with those pivots replaced by one."""
+        bad = t == 0
+        if not bad.any():
+            self.bad = None
+            return t
+        for r in np.flatnonzero(bad):
+            sigma = complex(self.sigma[r])
+            self.failure[self.perm[r]] = str(BreakdownError(kind, n, f"{what} for shift {sigma}"))
+        self.bad = bad
+        return np.where(bad, 1.0, t)
+
+    def _advance(self, step, g_new, d, a, b, ops, lsq, counter):
+        """Finish one step over the active prefix: freeze broken rows, charge
+        the updates, then stream them or store them in the window."""
+        na, n, bad = self.na, step.n, self.bad
+        self.niter[:na] = n
+        if bad is not None:
+            for coef in (d, a, b):
+                if coef is not None:
+                    coef[bad] = 0.0
+            g_new[bad] = self.g[:na][bad]
+            self.niter[:na][bad] = n - 1
+        self.g[:na] = g_new
+        if counter is not None:
+            updated = na if bad is None else na - int(bad.sum())
+            counter.add_shift_update(ops * updated)
+            counter.add_least_squares(lsq * updated)
+        if self.window == 1:
+            self._stream(step.v, d, a, b)
+            return
+        k = self.k
+        self.Vw[k, : self.n] = step.v
+        self.Dw[k + 2, :na], self.Aw[k + 2, :na] = d, a
+        if b is not None:
+            self.Bw[k + 2, :na] = b
+        self.k = k + 1
+        if self.k == self.window:
+            self.flush(slice(0, na), carry=True)
+
+    def _stream(self, v, d, a, b):
+        """Window of one: ``p = v - a p1 - b p2``, ``x += d p`` in row blocks."""
+        rb = max(1, _BLOCK_ELEMS // self.n)
+        for lo in range(0, self.na, rb):
+            r = slice(lo, min(self.na, lo + rb))
+            if b is None:
+                p = self.P1[r]
+                p *= -a[r, None]
+            else:  # p_n overwrites p_{n-2}; the two are swapped below
+                p = self.P2[r]
+                p *= -b[r, None]
+                p -= a[r, None] * self.P1[r]
+            p += v
+            self.X[r] += d[r, None] * p
+        if b is not None:
+            self.P1, self.P2 = self.P2, self.P1
+
+    def flush(self, rows: slice, carry: bool):
+        """Add the window's steps to the iterates of ``rows``. With ``carry``
+        also advance their directions to the window's last step and empty
+        the window (the rows must then be the whole active prefix)."""
+        k = self.k
+        if carry:
+            self.k = 0
+        h = rows.stop - rows.start
+        if k == 0 or h <= 0:
+            return
+        # column t * h + j of Y: target t (x, then with carry p_e, p_{e-1}) of
+        # row j on p_{s-2}, p_{s-1}, v_s .. v_e. The sweep multiplies whole rows:
+        # NumPy rounds a product over a broadcast length-one axis differently
+        targets = 1 + carry * (1 if self.Bw is None else 2)
+        A = np.tile(self.Aw[: k + 2, rows], targets)
+        B = None if self.Bw is None else np.tile(self.Bw[: k + 2, rows], targets)
+        Y = np.zeros((k + 2, targets * h), dtype=np.complex128)
+        Y[:, :h] = self.Dw[: k + 2, rows]
+        if carry:
+            Y[k + 1, h : 2 * h] = 1.0
+            if B is not None:
+                Y[k, 2 * h :] = 1.0
+        for i in range(k, -1 if B is not None else 0, -1):
+            Y[i] -= A[i + 1] * Y[i + 1]
+            if B is not None and i + 2 <= k + 1:
+                Y[i] -= B[i + 2] * Y[i + 2]
+        hb = max(1, _BLOCK_ELEMS // (targets * self.n))
+        for lo in range(0, h, hb):
+            hi = min(h, lo + hb)
+            nb, r = hi - lo, slice(rows.start + lo, rows.start + hi)
+            cols = [slice(t * h + lo, t * h + hi) for t in range(targets)]
+            C = np.concatenate([Y[2:, c] for c in cols], axis=1).T
+            # complex coefficients on a real basis: one real GEMM for both parts
+            C = np.ascontiguousarray(np.concatenate((C.real, C.imag)) if self.real else C)
+            if len(C) == 1:  # a lone row would take the GEMV path and round differently
+                C = np.concatenate((C, np.zeros_like(C)))
+            G = C @ self.Vw[:k]
+            carried = (self.P1[r],) if B is None else (self.P1[r], self.P2[r])
+            new = []
+            for t in range(targets):
+                if self.real:
+                    out = np.empty((nb, self.n), dtype=np.complex128)
+                    out.real = G[t * nb : (t + 1) * nb, : self.n]
+                    out.imag = G[(targets + t) * nb : (targets + t + 1) * nb, : self.n]
+                else:
+                    out = G[t * nb : (t + 1) * nb, : self.n]
+                for j, P in enumerate(carried):
+                    out += Y[1 - j, cols[t], None] * P
+                new.append(out)
+            self.X[r] += new[0]
+            if carry:
+                self.P1[r] = new[1]
+                if B is not None:
+                    self.P2[r] = new[2]
+
+    def retire(self, done):
+        """Take the rows marked in ``done`` (over the active prefix) out of
+        it: record their status, move them behind the survivors and assemble
+        their iterates."""
+        na = self.na
+        for r in np.flatnonzero(done):
+            broken = self.bad is not None and self.bad[r]
+            self.status[self.perm[r]] = "breakdown" if broken else "converged"
+        keep = na - int(done.sum())
+        dst = np.flatnonzero(done[:keep])
+        if len(dst):
+            src = keep + np.flatnonzero(~done[keep:])
+            a, b = np.concatenate((dst, src)), np.concatenate((src, dst))
+            for name in self._fields:
+                arr = getattr(self, name)
+                arr[a] = arr[b]
+            if self.k:
+                for arr in (self.Dw, self.Aw, self.Bw):
+                    if arr is not None:
+                        arr[: self.k + 2, a] = arr[: self.k + 2, b]
+            self.row[self.perm[a]] = a
+        self.na = keep
+        self.flush(slice(keep, na), carry=False)
+
+    def record(self, n, est, target, bnorm):
+        """Store the step-``n`` residuals ``est`` of the active prefix (broken
+        rows keep their previous value) and retire the shifts that are done."""
+        na, bad = self.na, self.bad
+        live = slice(None) if bad is None else ~bad
+        res = self.res[:na]
+        res[live] = est[live]
+        done = res <= target if bad is None else bad | (res <= target)
+        if self.history is not None:
+            self.history.append((n, self.perm[:na][live].copy(), res[live] / bnorm))
+        if done.any():
+            self.retire(done)
+
+    def finish(self):
+        """Assemble the remaining rows and return the iterates in shift order."""
+        self.flush(slice(0, self.na), carry=False)
+        self.P1 = self.P2 = self.W = self.Vw = None
+        return self.X[self.row]
 
 
-def _givens(t_n: complex, t_np1: complex) -> tuple[float, complex]:
-    """Rotation zeroing the subdiagonal entry: ``c`` real nonnegative,
-    ``sbar = (t_{n+1,n} / t_{n,n}) c``. The pivot ``t_{n,n}`` must be
-    nonzero; the caller checks."""
-    den = math.hypot(abs(t_n), abs(t_np1))
-    c = abs(t_n) / den
-    sbar = (t_np1 / t_n) * c
-    return float(c), complex(sbar)
+def _abs(z: np.ndarray) -> np.ndarray:
+    """``|z|`` as Python's ``abs`` rounds it (``np.abs`` can differ in the last bit)."""
+    return np.hypot(z.real, z.imag)
 
 
-def _rotation_update(
-    state: ShiftSystemState,
-    step_n: int,
-    t_nm1: complex,
-    t_n: complex,
-    t_np1: complex,
-    v: np.ndarray,
-    v_next_scaled: np.ndarray | None,
-    counter: FlopCounter | None,
-) -> None:
+def _rotation_update(batch: ShiftBatch, step: LanczosStep, omegas, u, counter):
     """Shared body of the rotation-based updates (identity and omega
-    weights): apply the previous two rotations to the active column, compute
-    the new rotation, and advance g, p, x and w."""
-    t_nm2 = 0.0 + 0.0j
-    if state.rot_prev2 is not None:
-        c2, s2 = state.rot_prev2
-        t_nm2 = s2 * t_nm1
-        t_nm1 = c2 * t_nm1
-    if state.rot_prev is not None:
-        c1, s1 = state.rot_prev
+    weights): apply the previous two rotations to the active columns, compute
+    the new rotations and advance ``g`` and ``w = -s w + c u``."""
+    na, n = batch.na, step.n
+    om_nm1, om_n, om_np1 = omegas
+    t_nm1 = om_nm1 * complex(step.beta_prev)
+    t_n = om_n * (complex(step.alpha) + batch.sigma[:na])
+    t_np1 = om_np1 * complex(step.beta)
+    zeros = np.zeros(na, dtype=np.complex128)
+    t_nm2 = zeros
+    if n > 2:
+        t_nm2, t_nm1 = batch.s2[:na] * t_nm1, batch.c2[:na] * t_nm1
+    if n > 1:
+        c1, s1 = batch.c1[:na], batch.s1[:na]
         t_nm1, t_n = c1 * t_nm1 + s1 * t_n, -np.conj(s1) * t_nm1 + c1 * t_n
-    if t_n == 0:
-        raise BreakdownError("rotation", step_n, f"zero pivot for shift {state.sigma}")
-    c, sbar = _givens(t_n, t_np1)
+    t_n = batch._pivots(t_n, n, "rotation", "zero pivot")
+    abs_n = _abs(t_n)
+    c = abs_n / np.hypot(abs_n, abs(t_np1))
+    sbar = (t_np1 / t_n) * c
     s = np.conj(sbar)
     t_final = c * t_n + s * t_np1
-    g_old = state.g
-    g_rot = c * g_old
-    state.g = -sbar * g_old
-
-    p = v.astype(np.complex128, copy=True)
-    if state.p_prev is not None:
-        p -= (t_nm1 / state.diag_prev) * state.p_prev
-    if state.p_prev2 is not None:
-        p -= (t_nm2 / state.diag_prev2) * state.p_prev2
-    state.x += (g_rot / t_final) * p
-
-    if state.w is not None:
-        state.w = -s * state.w + c * v_next_scaled
-
-    state.p_prev2, state.p_prev = state.p_prev, p
-    state.diag_prev2, state.diag_prev = state.diag_prev, t_final
-    state.rot_prev2, state.rot_prev = state.rot_prev, (c, s)
-    state.niter = step_n
-    if counter is not None:
-        counter.add_shift_update(6 * len(v) + 3)
-        counter.add_least_squares(_LSQ_OPS_ROTATION)
+    g = batch.g[:na]
+    d = (c * g) / t_final
+    a = t_nm1 / batch.diag1[:na] if n > 1 else zeros.copy()
+    b = t_nm2 / batch.diag2[:na] if n > 2 else zeros.copy()
+    if batch.W is not None:
+        rb = max(1, _BLOCK_ELEMS // batch.n)
+        for lo in range(0, na, rb):
+            r = slice(lo, min(na, lo + rb))
+            w = batch.W[r]
+            w *= -s[r, None]
+            w += c[r, None] * u
+    batch.c2[:na], batch.s2[:na], batch.diag2[:na] = batch.c1[:na], batch.s1[:na], batch.diag1[:na]
+    batch.c1[:na], batch.s1[:na], batch.diag1[:na] = c, s, t_final
+    batch._advance(step, -sbar * g, d, a, b, 6 * batch.n + 3, _LSQ_OPS_ROTATION, counter)
 
 
-def qmr_sym_update(
-    state: ShiftSystemState,
-    alpha,
-    beta_prev,
-    beta,
-    v: np.ndarray,
-    v_next: np.ndarray,
-    counter: FlopCounter | None = None,
-) -> ShiftSystemState:
-    """One quasi-minimal-residual step for a single shift.
+def qmr_sym_update(batch: ShiftBatch, step: LanczosStep, counter: FlopCounter | None = None):
+    """One quasi-minimal-residual step for every active shift.
 
-    Forms the active column ``(beta_{n-1}, alpha_n + sigma, beta_n)``,
-    rotates it through the stored Givens pairs, computes the new rotation and
-    updates solution, directions and the residual-estimate vector
-    ``w_{n+1} = -s_n w_n + c_n v_{n+1}``.
+    Forms the active columns ``(beta_{n-1}, alpha_n + sigma, beta_n)``,
+    rotates them through the stored Givens pairs, computes the new rotations
+    (``c`` real nonnegative, ``sbar = (t_{n+1,n} / t_{n,n}) c``) and advances
+    the residual-estimate vectors ``w_{n+1} = -s_n w_n + c_n v_{n+1}`` (kept
+    only on the complex path). A shift whose rotated pivot is exactly zero
+    breaks down.
     """
-    _rotation_update(
-        state,
-        state.niter + 1,
-        complex(beta_prev),
-        complex(alpha) + state.sigma,
-        complex(beta),
-        v,
-        v_next if state.w is not None else None,
-        counter,
-    )
-    return state
+    _rotation_update(batch, step, (1.0, 1.0, 1.0), step.v_next, counter)
+    return batch
 
 
-def _scaled_next(v_next: np.ndarray, omega_np1: float) -> np.ndarray:
-    """``v_{n+1} / omega_{n+1}``, the omega variant's estimate direction."""
-    # omega_np1 vanishes only on lucky termination, where v_next is zero anyway
-    return v_next / (omega_np1 if omega_np1 > 0 else 1.0)
+def qmr_sym_omega_update(batch: ShiftBatch, step: LanczosStep, counter: FlopCounter | None = None):
+    """Rotation step on the row-scaled columns.
 
-
-def qmr_sym_omega_update(
-    state: ShiftSystemState,
-    alpha,
-    beta_prev,
-    beta,
-    v: np.ndarray,
-    v_next: np.ndarray,
-    omegas: tuple,
-    counter: FlopCounter | None = None,
-    v_next_scaled: np.ndarray | None = None,
-) -> ShiftSystemState:
-    """Rotation step on the row-scaled column.
-
-    ``omegas = (omega_{n-1}, omega_n, omega_{n+1})`` are the 2-norms of the
-    corresponding basis vectors; the residual-estimate recurrence tracks
-    ``w~_{n+1} = -s_n w~_n + c_n v_{n+1} / omega_{n+1}`` so that the
-    estimate ``|g_{n+1}| ||w~_{n+1}||`` equals the true residual norm.
-    A caller updating many shifts (as :func:`solve_all` does) passes
-    ``v_next_scaled = v_{n+1} / omega_{n+1}`` computed once per step;
-    otherwise it is computed here.
+    The weights ``(omega_{n-1}, omega_n, omega_{n+1})`` are the 2-norms of
+    the corresponding basis vectors; ``v_{n+1} / omega_{n+1}`` is formed once
+    per step, and the estimate vectors track ``w~_{n+1} = -s_n w~_n + c_n
+    v_{n+1} / omega_{n+1}`` so that ``|g_{n+1}| ||w~_{n+1}||`` equals the
+    true residual norm.
     """
-    om_nm1, om_n, om_np1 = omegas
-    if v_next_scaled is None:
-        v_next_scaled = _scaled_next(v_next, om_np1)
-    _rotation_update(
-        state,
-        state.niter + 1,
-        om_nm1 * complex(beta_prev),
-        om_n * (complex(alpha) + state.sigma),
-        om_np1 * complex(beta),
-        v,
-        v_next_scaled,
-        counter,
-    )
-    return state
+    om_np1 = float(np.linalg.norm(step.v_next))
+    om_nm1, om_n = batch.omegas
+    # omega_{n+1} vanishes only on lucky termination, where v_next is zero anyway
+    u = step.v_next / (om_np1 if om_np1 > 0 else 1.0)
+    _rotation_update(batch, step, (om_nm1, om_n, om_np1), u, counter)
+    batch.omegas = (om_n, om_np1)
+    return batch
 
 
-def _elimination_update(
-    state: ShiftSystemState,
-    alpha,
-    beta_prev,
-    beta,
-    v: np.ndarray,
-    counter: FlopCounter | None,
-) -> None:
+def _elimination_update(batch: ShiftBatch, step: LanczosStep, counter):
     """Shared two-term recurrence of the bidiagonal-weight and Galerkin
-    methods. Breaks down on an exactly zero pivot, which happens precisely
-    when the shifted leading tridiagonal block is singular."""
-    step_n = state.niter + 1
-    t_nm1 = complex(beta_prev)
-    t_n = complex(alpha) + state.sigma
-    t_np1 = complex(beta)
-    if state.f_prev is not None:
-        t_n = state.f_prev * t_nm1 + t_n
-    if t_n == 0:
-        raise BreakdownError("pivot", step_n, f"zero elimination pivot for shift {state.sigma}")
-    f = -t_np1 / t_n
-    g_cur = state.g
-    state.g = f * g_cur
-
-    p = v.astype(np.complex128, copy=True)
-    if state.p_prev is not None:
-        p -= (t_nm1 / state.diag_prev) * state.p_prev
-    state.x += (g_cur / t_n) * p
-
-    state.p_prev = p
-    state.diag_prev = t_n
-    state.f_prev = f
-    state.niter = step_n
-    if counter is not None:
-        counter.add_shift_update(4 * len(v) + 2)
-        counter.add_least_squares(_LSQ_OPS_ELIMINATION)
+    methods. A shift breaks down on an exactly zero pivot, which happens
+    precisely when its shifted leading tridiagonal block is singular."""
+    na, n = batch.na, step.n
+    t_nm1 = complex(step.beta_prev)
+    t_n = complex(step.alpha) + batch.sigma[:na]
+    if n > 1:
+        t_n = batch.f[:na] * t_nm1 + t_n
+    t_n = batch._pivots(t_n, n, "pivot", "zero elimination pivot")
+    f = -complex(step.beta) / t_n
+    g = batch.g[:na]
+    d = g / t_n
+    a = t_nm1 / batch.diag1[:na] if n > 1 else np.zeros(na, dtype=np.complex128)
+    batch.f[:na], batch.diag1[:na] = f, t_n
+    batch._advance(step, f * g, d, a, None, 4 * batch.n + 2, _LSQ_OPS_ELIMINATION, counter)
 
 
-def qmr_sym_b_update(
-    state: ShiftSystemState,
-    alpha,
-    beta_prev,
-    beta,
-    v: np.ndarray,
-    counter: FlopCounter | None = None,
-) -> ShiftSystemState:
-    """One bidiagonal-weight step: eliminate the subdiagonal with a single
-    scalar ``f_n = -t_{n+1,n} / t_{n,n}``, propagate ``g~_{n+1} = f_n g~_n``
-    and advance the two-term direction/solution recurrences."""
-    _elimination_update(state, alpha, beta_prev, beta, v, counter)
-    return state
+def qmr_sym_b_update(batch: ShiftBatch, step: LanczosStep, counter: FlopCounter | None = None):
+    """One bidiagonal-weight step for every active shift: eliminate the
+    subdiagonal with a single scalar ``f_n = -t_{n+1,n} / t_{n,n}``,
+    propagate ``g~_{n+1} = f_n g~_n`` and advance the two-term
+    direction/solution recurrences."""
+    _elimination_update(batch, step, counter)
+    return batch
 
 
-def cocg_galerkin_update(
-    state: ShiftSystemState,
-    alpha,
-    beta_prev,
-    beta,
-    v: np.ndarray,
-    counter: FlopCounter | None = None,
-) -> ShiftSystemState:
-    """One Galerkin-baseline step.
-
-    The iterate solves the projected system ``(T_n + sigma I_n) y = g_1 e_1``
-    and therefore equals the shifted conjugate-orthogonal-CG iterate; the
-    recurrences are the same as :func:`qmr_sym_b_update`. Reported residuals
-    for this method are computed explicitly by the driver rather than from
-    the recurrence scalars.
-    """
-    _elimination_update(state, alpha, beta_prev, beta, v, counter)
-    return state
+def cocg_galerkin_update(batch: ShiftBatch, step: LanczosStep, counter: FlopCounter | None = None):
+    """One Galerkin-baseline step for every active shift. The iterate solves
+    ``(T_n + sigma I_n) y = g_1 e_1`` and so equals the shifted
+    conjugate-orthogonal-CG iterate; the recurrences are those of
+    :func:`qmr_sym_b_update`, and the driver computes this method's
+    residuals explicitly rather than from the recurrence scalars."""
+    _elimination_update(batch, step, counter)
+    return batch
 
 
-def estimate_residual_qmr(state: ShiftSystemState) -> float:
-    """Residual 2-norm estimate ``|g_{n+1}| * ||w_{n+1}||`` for the rotation
-    method. On the real path the norm factor is identically one and the
-    estimate is returned as exactly ``|g_{n+1}|``."""
-    if state.w is None:
-        return abs(state.g)
-    return abs(state.g) * float(np.linalg.norm(state.w))
+def estimate_residual_qmr(batch: ShiftBatch) -> np.ndarray:
+    """Residual 2-norm estimates ``|g_{n+1}| * ||w_{n+1}||`` of the active
+    shifts for the rotation methods. On the real path ``qmr-sym`` keeps no
+    ``w``: its norm factor is identically one and the estimate is exactly
+    ``|g_{n+1}|``."""
+    g = _abs(batch.g[: batch.na])
+    if batch.W is None:
+        return g
+    W = batch.W[: batch.na].view(np.float64)
+    return g * np.sqrt(np.einsum("ij,ij->i", W, W))
 
 
-def estimate_residual_qmr_b(state: ShiftSystemState, v_next: np.ndarray) -> float:
-    """Residual 2-norm estimate ``|g~_{n+1}| * ||v_{n+1}||`` for the
-    bidiagonal-weight method. On the real path basis vectors have unit
-    2-norm and the estimate is exactly ``|g~_{n+1}|``. The driver computes
-    ``||v_{n+1}||`` once per iteration and shares it across shifts."""
-    if state.real_path:
-        return abs(state.g)
-    return abs(state.g) * float(np.linalg.norm(v_next))
+def estimate_residual_qmr_b(batch: ShiftBatch, v_next: np.ndarray) -> np.ndarray:
+    """Residual 2-norm estimates ``|g~_{n+1}| * ||v_{n+1}||`` of the active
+    shifts for the bidiagonal-weight method; exactly ``|g~_{n+1}|`` on the
+    real path, where basis vectors have unit 2-norm."""
+    g = _abs(batch.g[: batch.na])
+    return g if batch.real else g * float(np.linalg.norm(v_next))
 
 
 def true_residual(A: SparseSymMatrix, sigma, b, x, counter: FlopCounter | None = None):
@@ -439,80 +509,13 @@ class SolveReport:
         return any(s == "breakdown" for s in self.status)
 
 
-@dataclass(slots=True)
-class _SharedStep:
-    """Per-iteration data shared read-only by all shift updates."""
-
-    step: LanczosStep
-    v_next_norm: float
-    omegas: tuple | None
-    v_next_scaled: np.ndarray | None  # v_{n+1} / omega_{n+1}, omega method only
-    bnorm: float
-
-
-def _apply_update(state: ShiftSystemState, shared: _SharedStep, counter: FlopCounter | None):
-    step = shared.step
-    if state.method == "qmr-sym":
-        qmr_sym_update(state, step.alpha, step.beta_prev, step.beta, step.v, step.v_next, counter)
-    elif state.method == "qmr-sym-b":
-        qmr_sym_b_update(state, step.alpha, step.beta_prev, step.beta, step.v, counter)
-    elif state.method == "qmr-sym-omega":
-        qmr_sym_omega_update(
-            state,
-            step.alpha,
-            step.beta_prev,
-            step.beta,
-            step.v,
-            step.v_next,
-            shared.omegas,
-            counter,
-            v_next_scaled=shared.v_next_scaled,
-        )
-    else:  # cocg
-        cocg_galerkin_update(state, step.alpha, step.beta_prev, step.beta, step.v, counter)
-
-
-def _estimate(state: ShiftSystemState, shared: _SharedStep) -> float:
-    if state.method == "qmr-sym-b":
-        if state.real_path:
-            return abs(state.g)
-        return abs(state.g) * shared.v_next_norm
-    return estimate_residual_qmr(state)
-
-
-def _record(state: ShiftSystemState, res: float, bnorm: float):
-    state.res = res
-    if state.history is not None:
-        state.history.append((state.niter, res / bnorm))
-
-
-def _advance_shift(state: ShiftSystemState, shared: _SharedStep, counter: FlopCounter | None):
-    """Update one shift and record its new residual estimate; a per-shift
-    breakdown freezes the state at the previous step. ``cocg`` residuals are
-    recorded afterwards by :func:`_residual_norms` over all updated shifts."""
-    try:
-        _apply_update(state, shared, counter)
-    except BreakdownError as exc:
-        state.broken = True
-        state.failure = str(exc)
-        return
-    if state.method != "cocg":
-        _record(state, _estimate(state, shared), shared.bnorm)
-
-
-def _residual_norms(A: SparseSymMatrix, b: np.ndarray, states: list, counter) -> np.ndarray:
-    """Explicit residual norms of the states' current iterates, through one
-    :func:`true_residual` block per ``max(1, _BLOCK_ELEMS // N)`` states."""
+def _residual_norms(A: SparseSymMatrix, b: np.ndarray, sigma, X, counter) -> np.ndarray:
+    """Explicit residual norms of the rows of ``X``, through one
+    :func:`true_residual` block per ``max(1, _BLOCK_ELEMS // N)`` rows."""
     k = max(1, _BLOCK_ELEMS // A.n)
-    norms = np.empty(len(states))
-    for lo in range(0, len(states), k):
-        block = states[lo : lo + k]
-        # stacked column-wise, so the (k, N) block is a transposed view
-        # and true_residual multiplies it without another copy
-        X = np.stack([st.x for st in block], axis=1).T
-        norms[lo : lo + k] = true_residual(
-            A, np.array([st.sigma for st in block]), b, X, counter=counter
-        )
+    norms = np.empty(len(X))
+    for lo in range(0, len(X), k):
+        norms[lo : lo + k] = true_residual(A, sigma[lo : lo + k], b, X[lo : lo + k], counter=counter)
     return norms
 
 
@@ -558,8 +561,10 @@ def solve_all(
     counter : FlopCounter, optional
         Accumulates operation counts; a fresh counter is used if omitted.
     callback : callable, optional
-        Invoked after each iteration as ``callback(n, states)`` with the live
-        per-shift states (read-only use).
+        Invoked after each iteration as ``callback(n, states)``, where
+        ``states[l]`` is a read-only view of shift ``l`` with its current
+        iterate ``x`` and its ``sigma``, ``g``, ``res`` and ``niter``. A
+        callback makes the solve assemble its iterates at every step.
 
     Returns
     -------
@@ -588,113 +593,80 @@ def solve_all(
     _check_finite(shifts.shifts, "shifts")
     _check_finite(b_arr, "b")
     counter = counter if counter is not None else FlopCounter()
+    # looked up at every solve, so that a replaced module global is the one called
+    update = {"cocg": cocg_galerkin_update, "qmr-sym": qmr_sym_update,
+              "qmr-sym-b": qmr_sym_b_update, "qmr-sym-omega": qmr_sym_omega_update}[method]
 
     t0 = time.perf_counter()
     lstate = lanczos_init(A, b_arr)
     bnorm = lstate.bnorm2
-    real_path = lstate.v_curr.dtype.kind != "c"
-    omega_method = method == "qmr-sym-omega"
-    omega1 = float(np.linalg.norm(lstate.v_curr)) if omega_method else None
-
-    states = [
-        make_shift_state(
-            sigma,
-            method,
-            lstate.g1,
-            lstate.v_curr,
-            real_path,
-            record_history=record_history,
-            omega1=omega1,
-        )
-        for sigma in shifts
-    ]
+    stream = method == "cocg" or callback is not None
+    batch = ShiftBatch(method, shifts.shifts, lstate.g1, lstate.v_curr, max_iter, stream,
+                       record_history)
+    target = tol * bnorm
     # the starting residual is b itself (x_0 = 0); shifts already inside the
     # tolerance never enter the update loop
-    for st in states:
-        st.res = bnorm
-        if st.res <= tol * bnorm:
-            st.converged = True
+    batch.res[:] = bnorm
+    batch.retire(batch.res <= target)
 
-    iterations = 0
-    lucky = False
-    lanczos_failure = None
-    omega_nm1 = None
-    omega_n = omega1
+    iterations, lucky = 0, False
     for n in range(1, max_iter + 1):
-        active = [st for st in states if not st.converged and not st.broken]
-        if not active:
+        if not batch.na:
             break
         try:
             step = lanczos_step(lstate, A, counter=counter)
         except BreakdownError as exc:
-            lanczos_failure = str(exc)
-            for st in active:
-                st.broken = True
-                st.failure = lanczos_failure
+            for ell in batch.perm[: batch.na]:
+                batch.status[ell], batch.failure[ell] = "breakdown", str(exc)
             break
         iterations = n
-        v_next_norm = float(np.linalg.norm(step.v_next))
-        # omega_{n-1} multiplies beta_{n-1}, which is zero at step 1
-        omegas = (
-            (omega_nm1 if omega_nm1 is not None else 1.0, omega_n, v_next_norm)
-            if omega_method
-            else None
-        )
-        shared = _SharedStep(
-            step=step,
-            v_next_norm=v_next_norm,
-            omegas=omegas,
-            v_next_scaled=_scaled_next(step.v_next, v_next_norm) if omega_method else None,
-            bnorm=bnorm,
-        )
-        for st in active:
-            _advance_shift(st, shared, counter)
+        update(batch, step, counter)
+        na, bad = batch.na, batch.bad
         if method == "cocg":
-            updated = [st for st in active if not st.broken]
-            for st, res in zip(updated, _residual_norms(A, b_arr, updated, counter)):
-                _record(st, float(res), bnorm)
-        for st in active:
-            if not st.broken and st.res <= tol * bnorm:
-                st.converged = True
-        if callback is not None:
-            callback(n, states)
+            live = slice(0, na) if bad is None else np.flatnonzero(~bad)
+            est = np.empty(na)
+            est[live] = _residual_norms(A, b_arr, batch.sigma[live], batch.X[live], counter)
+        elif method == "qmr-sym-b":
+            est = estimate_residual_qmr_b(batch, step.v_next)
+        else:
+            est = estimate_residual_qmr(batch)
+        batch.record(n, est, target, bnorm)
+        if callback is not None:  # each shift's current row, in shift order
+            callback(n, [SimpleNamespace(x=batch.X[r], sigma=complex(batch.sigma[r]),
+                                         g=complex(batch.g[r]), res=float(batch.res[r]),
+                                         niter=int(batch.niter[r])) for r in batch.row])
         if step.lucky:
             lucky = True
             break
-        if omega_method:
-            omega_nm1, omega_n = omega_n, v_next_norm
 
+    solutions = batch.finish()
     wall = time.perf_counter() - t0
-    status = []
-    for st in states:
-        if st.broken:
-            status.append("breakdown")
-        elif st.converged:
-            status.append("converged")
-        else:
-            status.append("unconverged")
-    solutions = np.vstack([st.x for st in states])
-    final_rel_true = None
-    if true_residuals:
-        final_rel_true = _residual_norms(A, b_arr, states, counter) / bnorm
+    order = batch.row
+    history = None
+    if record_history:
+        history = [[] for _ in range(batch.m)]
+        for n, ids, rel in batch.history:
+            for ell, value in zip(ids.tolist(), rel.tolist()):
+                history[ell].append((n, value))
+    final_rel_true = (_residual_norms(A, b_arr, shifts.shifts, solutions, counter) / bnorm
+                      if true_residuals else None)
+    res = batch.res[order]
     report = SolveReport(
         method=method,
         n=A.n,
-        m=len(states),
+        m=batch.m,
         tol=tol,
         bnorm=bnorm,
         iterations=iterations,
         lucky=lucky,
         wall_time=wall,
         shifts=shifts.shifts.copy(),
-        status=status,
-        iters=np.array([st.niter for st in states], dtype=np.int64),
-        final_rel_estimate=np.array(
-            [st.res / bnorm if np.isfinite(st.res) else np.inf for st in states]
-        ),
+        status=batch.status,
+        iters=batch.niter[order],
+        final_rel_estimate=np.where(np.isfinite(res), res / bnorm, np.inf),
         flops=counter.snapshot(),
         final_rel_true=final_rel_true,
-        failure=[st.failure for st in states],
-        history=[st.history for st in states] if record_history else None,
+        failure=batch.failure,
+        history=history,
     )
     return solutions, report

@@ -226,8 +226,7 @@ class TestFlopCounter:
         c = FlopCounter()
         c.add_shift_update(10)
         c.add_least_squares(3)
-        d = FlopCounter(matvec_real=4)
-        c.merge(d)
+        c.add_matvec(2, real=True)
         assert (c.matvec_real, c.shift_update, c.least_squares) == (4, 10, 3)
         assert c.matvec == 4
         snap = c.snapshot()

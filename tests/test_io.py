@@ -14,6 +14,8 @@ from shiftkrylov import (
     write_summary,
 )
 
+from shiftkrylov import io as mmio
+
 from _reference import rand_complex_symmetric, rand_real_symmetric
 
 
@@ -216,6 +218,65 @@ class TestReadMatrixMarket:
         assert exc.value.path.endswith("loc.mtx")
         assert exc.value.line == 2
         assert "loc.mtx:2:" in str(exc.value)
+
+
+def lattice_file(path, L=10, seed=62):
+    """Matrix Market file of a complex symmetric 3-D nearest-neighbour
+    lattice (lower triangle, ``repr`` values) and the full-pattern triplets
+    it describes."""
+    rng = np.random.default_rng(seed)
+    n = L**3
+    idx = np.arange(n).reshape(L, L, L)
+    lo = np.concatenate([np.take(idx, np.arange(L - 1), axis=a).ravel() for a in range(3)])
+    hi = np.concatenate([np.take(idx, np.arange(1, L), axis=a).ravel() for a in range(3)])
+    hop = rng.standard_normal(len(lo)) + 1j * rng.standard_normal(len(lo))
+    diag = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    lines = ["%%MatrixMarket matrix coordinate complex symmetric", f"{n} {n} {n + len(lo)}"]
+    lines += [f"{i + 1} {i + 1} {z.real!r} {z.imag!r}" for i, z in enumerate(diag.tolist())]
+    lines += [f"{j + 1} {i + 1} {z.real!r} {z.imag!r}" for i, j, z in zip(lo, hi, hop.tolist())]
+    path.write_text("\n".join(lines) + "\n")
+    rows = np.concatenate([np.arange(n), lo, hi])
+    cols = np.concatenate([np.arange(n), hi, lo])
+    return lines, SparseSymMatrix.from_coo(n, rows, cols, np.concatenate([diag, hop, hop]))
+
+
+class TestBulkMatrixMarket:
+    def test_large_body_reads_bitwise_equal_to_from_coo(self, tmp_path, monkeypatch):
+        lines, ref = lattice_file(tmp_path / "lattice.mtx")
+        assert len(lines) > 3000
+
+        def no_scan(*args):
+            raise AssertionError("a well-formed body is parsed in bulk")
+
+        monkeypatch.setattr(mmio, "_scan_entries", no_scan)
+        A = read_matrix_market(tmp_path / "lattice.mtx")
+        assert np.array_equal(A.indptr, ref.indptr)
+        assert np.array_equal(A.indices, ref.indices)
+        assert np.array_equal(A.data, ref.data) and A.data.dtype == ref.data.dtype
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("{i} {j} {re} abc", "malformed entry"),
+            ("{i}.0 {j} {re} {im}", "malformed entry"),
+            ("{i} {j} {re}", "expected 4 tokens, got 3"),
+            ("{i} {j} {re} {im} 0.5", "expected 4 tokens, got 5"),
+            ("{j} {i} {re} {im}", "above the diagonal"),
+            ("{i} 99999 {re} {im}", "out of range"),
+            ("{i} {j} {re} nan", "non-finite value"),
+            ("", "blank line inside data section"),
+        ],
+    )
+    def test_fault_deep_in_a_large_body_keeps_its_line(self, tmp_path, bad, message):
+        lines, _ = lattice_file(tmp_path / "ok.mtx")
+        at = 2900  # an off-diagonal entry on line 2901 of the file
+        i, j, re, im = lines[at].split()
+        lines[at] = bad.format(i=i, j=j, re=re, im=im)
+        p = tmp_path / "bad.mtx"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=message) as exc:
+            read_matrix_market(p)
+        assert exc.value.line == at + 1
 
 
 class TestShiftFiles:

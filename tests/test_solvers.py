@@ -5,13 +5,14 @@ from shiftkrylov import (
     BreakdownError,
     DenseOracle,
     FlopCounter,
+    LanczosStep,
+    METHODS,
     SparseSymMatrix,
     brute_force_wqmr,
     cocg_galerkin_update,
     estimate_residual_qmr,
     estimate_residual_qmr_b,
     generate_hamiltonian_analog,
-    make_shift_state,
     qmr_sym_b_update,
     qmr_sym_omega_update,
     qmr_sym_update,
@@ -19,6 +20,8 @@ from shiftkrylov import (
     solve_all,
     true_residual,
 )
+from shiftkrylov import solvers
+from shiftkrylov.solvers import ShiftBatch
 
 from _reference import rand_complex_symmetric, rand_real_symmetric, reference_cg
 
@@ -40,6 +43,24 @@ def e1(n, dtype=float):
 # while the rotated pivot of the quasi-minimal-residual path stays nonzero.
 PIVOT_A1, PIVOT_B1 = 0.7, 1.5
 PIVOT_A2 = (PIVOT_B1 / PIVOT_A1) * PIVOT_B1
+
+
+def steps_of(rec):
+    """The Lanczos steps of a diagnostic run, as :func:`solve_all` sees them."""
+    for k in range(rec.steps):
+        yield LanczosStep(
+            n=k + 1,
+            alpha=rec.alphas[k],
+            beta_prev=0.0 if k == 0 else rec.betas[k - 1],
+            beta=rec.betas[k],
+            v=np.ascontiguousarray(rec.vectors[:, k]),
+            v_next=np.ascontiguousarray(rec.vectors[:, k + 1]),
+            lucky=False,
+        )
+
+
+def one_step(alpha, beta, v, v_next):
+    return LanczosStep(n=1, alpha=alpha, beta_prev=0.0, beta=beta, v=v, v_next=v_next, lucky=False)
 
 
 def pivot_zero_matrix():
@@ -70,15 +91,15 @@ class TestRotationUpdate:
     def test_three_four_five_rotation(self):
         # fresh state, first step: column scalars (t_nn, t_n+1,n) = (3, 4)
         v = np.array([1.0, 0.0])
-        st = make_shift_state(0.0, "qmr-sym", 1.0, v, real_path=True)
-        qmr_sym_update(st, alpha=3.0, beta_prev=0.0, beta=4.0, v=v, v_next=np.array([0.0, 1.0]))
-        c, s = st.rot_prev
+        st = ShiftBatch("qmr-sym", [0.0], 1.0, v, max_iter=1, stream=True)
+        qmr_sym_update(st, one_step(3.0, 4.0, v, np.array([0.0, 1.0])))
+        c, s = st.c1[0], st.s1[0]
         assert abs(c - 0.6) <= 1e-15
         assert abs(s - 0.8) <= 1e-15  # real data: s == sbar
-        assert abs(st.diag_prev - 5.0) <= 1e-15
-        assert abs(st.g - (-0.8)) <= 1e-15  # g_{n+1} = -sbar * g_n
+        assert abs(st.diag1[0] - 5.0) <= 1e-15
+        assert abs(st.g[0] - (-0.8)) <= 1e-15  # g_{n+1} = -sbar * g_n
         # x_1 = (c*g / t) p_1 with p_1 = v_1
-        assert np.allclose(st.x, (0.6 / 5.0) * v.astype(complex), rtol=1e-15)
+        assert np.allclose(st.X[0], (0.6 / 5.0) * v.astype(complex), rtol=1e-15)
 
     def test_scalar_system_solved_in_one_step(self):
         A = sparse_from(np.array([[2.0]]))
@@ -103,14 +124,12 @@ class TestRotationUpdate:
         M = rand_complex_symmetric(18, rng)
         A = sparse_from(M)
         b = rng.standard_normal(18) + 1j * rng.standard_normal(18)
+        rec = run_diagnostic(A, b, 18)
+        st = ShiftBatch("qmr-sym", [0.3 + 0.2j, 0.8 + 0.1j], rec.g1, rec.vectors[:, 0], 18)
         pairs = []
-
-        def cb(n, states):
-            for st in states:
-                if st.rot_prev is not None:
-                    pairs.append(st.rot_prev)
-
-        solve_all(A, b, [0.3 + 0.2j, 0.8 + 0.1j], method="qmr-sym", tol=1e-12, callback=cb)
+        for step in steps_of(rec):
+            qmr_sym_update(st, step)
+            pairs += zip(st.c1[: st.na], st.s1[: st.na])
         assert pairs
         for c, s in pairs:
             assert isinstance(c, float) and c >= 0.0
@@ -120,18 +139,19 @@ class TestRotationUpdate:
         # sigma = -alpha_1 makes t_{1,1} exactly zero at step 1
         A = sparse_from(np.diag([2.0, 3.0]))
         v = np.array([1.0, 0.0])
-        st = make_shift_state(-2.0, "qmr-sym", 1.0, v, real_path=True)
-        with pytest.raises(BreakdownError, match="rotation"):
-            qmr_sym_update(st, alpha=2.0, beta_prev=0.0, beta=1.0, v=v, v_next=np.array([0.0, 1.0]))
+        st = ShiftBatch("qmr-sym", [-2.0], 1.0, v, max_iter=1, stream=True)
+        qmr_sym_update(st, one_step(2.0, 1.0, v, np.array([0.0, 1.0])))
+        assert list(st.bad) == [True] and st.niter[0] == 0
+        assert st.failure[0].startswith("rotation breakdown at step 1")
 
 
 class TestEliminationUpdate:
     def test_elimination_scalars(self):
         v = np.array([1.0, 0.0])
-        st = make_shift_state(0.0, "qmr-sym-b", 1.0, v, real_path=True)
-        qmr_sym_b_update(st, alpha=2.0, beta_prev=0.0, beta=1.0, v=v)
-        assert st.f_prev == -0.5
-        assert st.g == -0.5  # g~_{n+1} = f_n g~_n
+        st = ShiftBatch("qmr-sym-b", [0.0], 1.0, v, max_iter=1, stream=True)
+        qmr_sym_b_update(st, one_step(2.0, 1.0, v, np.array([0.0, 1.0])))
+        assert st.f[0] == -0.5
+        assert st.g[0] == -0.5  # g~_{n+1} = f_n g~_n
 
     def test_scalar_system_identical_to_rotation_method(self):
         A = sparse_from(np.array([[2.0]]))
@@ -171,14 +191,11 @@ class TestEliminationUpdate:
         bnorm = np.linalg.norm(b)
         sigma = 0.2 + 0.3j
         rec = run_diagnostic(A, b, 10)
-        st = make_shift_state(sigma, "qmr-sym-b", rec.g1, rec.vectors[:, 0], real_path=False)
-        for k in range(10):
-            qmr_sym_b_update(
-                st, rec.alphas[k], 0.0 if k == 0 else rec.betas[k - 1], rec.betas[k],
-                rec.vectors[:, k],
-            )
-            r_vec = b - M @ st.x - sigma * st.x
-            predicted = st.g * rec.vectors[:, k + 1]
+        st = ShiftBatch("qmr-sym-b", [sigma], rec.g1, rec.vectors[:, 0], 10, stream=True)
+        for k, step in enumerate(steps_of(rec)):
+            qmr_sym_b_update(st, step)
+            r_vec = b - M @ st.X[0] - sigma * st.X[0]
+            predicted = st.g[0] * rec.vectors[:, k + 1]
             assert np.max(np.abs(r_vec - predicted)) <= 1e-10 * bnorm
 
     def test_exact_zero_pivot_breaks_down_where_rotations_survive(self):
@@ -373,17 +390,15 @@ class TestResidualEstimates:
         b = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         rec = run_diagnostic(A, b, 3)
         v1 = rec.vectors[:, 0]
-        stq = make_shift_state(0.5j, "qmr-sym", rec.g1, v1, real_path=False)
-        stb = make_shift_state(0.5j, "qmr-sym-b", rec.g1, v1, real_path=False)
-        for k in range(3):
-            args = (rec.alphas[k], 0.0 if k == 0 else rec.betas[k - 1], rec.betas[k])
-            v, v_next = rec.vectors[:, k], rec.vectors[:, k + 1]
-            qmr_sym_update(stq, *args, v=v, v_next=v_next)
-            qmr_sym_b_update(stb, *args, v=v)
-            tq = true_residual(A, 0.5j, b, stq.x)
-            tb = true_residual(A, 0.5j, b, stb.x)
-            assert abs(estimate_residual_qmr(stq) - tq) <= 1e-10 * tq
-            assert abs(estimate_residual_qmr_b(stb, v_next) - tb) <= 1e-10 * tb
+        stq = ShiftBatch("qmr-sym", [0.5j], rec.g1, v1, 3, stream=True)
+        stb = ShiftBatch("qmr-sym-b", [0.5j], rec.g1, v1, 3, stream=True)
+        for step in steps_of(rec):
+            qmr_sym_update(stq, step)
+            qmr_sym_b_update(stb, step)
+            tq = true_residual(A, 0.5j, b, stq.X[0])
+            tb = true_residual(A, 0.5j, b, stb.X[0])
+            assert abs(estimate_residual_qmr(stq)[0] - tq) <= 1e-10 * tq
+            assert abs(estimate_residual_qmr_b(stb, step.v_next)[0] - tb) <= 1e-10 * tb
 
     def test_true_residual_trivia(self):
         A = sparse_from(np.array([[2.0]]))
@@ -397,27 +412,22 @@ class TestResidualEstimates:
 
 class TestOmegaVariant:
     def test_shared_scaled_basis_vector_is_bit_identical(self):
-        # solve_all divides v_{n+1} by omega_{n+1} once per step; calling
-        # the update without it divides per shift, with the same result
+        # the update divides v_{n+1} by omega_{n+1} once per step for all
+        # shifts; driving it directly over the same steps gives solve_all's
+        # iterate and estimate bit for bit
         rng = np.random.default_rng(39)
         A = sparse_from(rand_complex_symmetric(12, rng))
         b = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         sigma = 0.3 + 0.2j
         rec = run_diagnostic(A, b, 8)
-        omegas = [float(np.linalg.norm(rec.vectors[:, k])) for k in range(9)]
-        st = make_shift_state(
-            sigma, "qmr-sym-omega", rec.g1, rec.vectors[:, 0], real_path=False, omega1=omegas[0]
-        )
-        for k in range(8):
-            qmr_sym_omega_update(
-                st, rec.alphas[k], 0.0 if k == 0 else rec.betas[k - 1], rec.betas[k],
-                rec.vectors[:, k], rec.vectors[:, k + 1],
-                (1.0 if k == 0 else omegas[k - 1], omegas[k], omegas[k + 1]),
-            )
+        st = ShiftBatch("qmr-sym-omega", [sigma], rec.g1, rec.vectors[:, 0], 8)
+        assert st.window == 8  # assembled inside the eighth update, as in solve_all
+        for step in steps_of(rec):
+            qmr_sym_omega_update(st, step)
         x, rep = solve_all(A, b, [sigma], method="qmr-sym-omega", tol=1e-30, max_iter=8)
         assert rep.iters[0] == 8
-        assert np.array_equal(x[0], st.x)
-        assert rep.final_rel_estimate[0] == estimate_residual_qmr(st) / rep.bnorm
+        assert np.array_equal(x[0], st.X[0])
+        assert rep.final_rel_estimate[0] == estimate_residual_qmr(st)[0] / rep.bnorm
 
     def test_real_problem_degenerates_to_identity_weight(self):
         rng = np.random.default_rng(24)
@@ -648,3 +658,109 @@ class TestCostAccounting:
         x, rep = solve_all(A, b, [0.1 + 0.01j, 300.0], method="qmr-sym", tol=1e-12, counter=counter)
         total_updates = int(rep.iters.sum())
         assert counter.shift_update == (6 * n + 3) * total_updates
+
+
+class TestWindowEngine:
+    """Deferred assembly: ``c`` Lanczos steps per window, one GEMM per row
+    block. ``_WINDOW_ELEMS = c * N`` sets the window to ``c`` steps; ``c = 1``
+    is the streaming update."""
+
+    RECURRENCES = ("qmr-sym", "qmr-sym-b", "qmr-sym-omega")
+
+    @staticmethod
+    def solve(monkeypatch, c, A, b, shifts, method, **kw):
+        monkeypatch.setattr(solvers, "_WINDOW_ELEMS", c * A.n)
+        return solve_all(A, b, shifts, method=method, **kw)
+
+    @staticmethod
+    def assert_close(x, ref, rtol=1e-13):
+        for xl, rl in zip(x, ref):
+            assert np.linalg.norm(xl - rl) <= rtol * np.linalg.norm(rl)
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_window_sizes_agree_with_streaming(self, monkeypatch, method, real):
+        A, b = pivot_zero_banded(80, real)
+        shifts = [0.0] + [0.3 + 0.15 * ell + 0.05j for ell in range(9)]
+        x1, rep1 = self.solve(monkeypatch, 1, A, b, shifts, method, tol=1e-11)
+        assert len(set(rep1.iters)) > 3
+        for c in (2, 3, 7):
+            x, rep = self.solve(monkeypatch, c, A, b, shifts, method, tol=1e-11)
+            assert list(rep.iters) == list(rep1.iters)
+            assert rep.status == rep1.status
+            self.assert_close(x, x1)
+
+    @pytest.mark.parametrize("method", RECURRENCES)
+    def test_deflation_on_a_window_boundary(self, monkeypatch, method):
+        rng = np.random.default_rng(40)
+        A = sparse_from(rand_complex_symmetric(40, rng))
+        b = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        shifts = [0.4 + 0.2j, 3.0 + 1.0j, 0.9 + 0.4j]
+        x1, rep1 = self.solve(monkeypatch, 1, A, b, shifts, method, tol=1e-10)
+        first = int(np.argmin(rep1.iters))
+        c = int(rep1.iters[first])  # the window ends where this shift deflates
+        assert 1 < c < rep1.iterations
+        x, rep = self.solve(monkeypatch, c, A, b, shifts, method, tol=1e-10)
+        xs, reps = self.solve(monkeypatch, c, A, b, shifts[first : first + 1], method, tol=1e-10)
+        assert list(rep.iters) == list(rep1.iters) and rep.all_converged
+        self.assert_close(x, x1)
+        assert np.array_equal(x[first], xs[0]) and reps.iters[0] == c
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_pivot_breakdown_mid_window_freezes_the_iterate(self, monkeypatch, real):
+        A, b = pivot_zero_banded(60, real)
+        shifts = [0.0, 0.5 + 0.1j, 1.1 + 0.2j]
+        x1, rep1 = self.solve(monkeypatch, 1, A, b, shifts, "qmr-sym-b", tol=1e-11)
+        x, rep = self.solve(monkeypatch, 3, A, b, shifts, "qmr-sym-b", tol=1e-11)
+        # sigma = 0 breaks down at step 2 of the window of steps 1..3
+        assert rep.status == rep1.status == ["breakdown", "converged", "converged"]
+        assert rep.iters[0] == 1 and "pivot breakdown at step 2" in rep.failure[0]
+        # frozen at its step-1 iterate x_1 = (g_1 / alpha_1) v_1 = e_1 / alpha_1
+        assert np.allclose(x[0], e1(60) / PIVOT_A1, rtol=1e-15, atol=0)
+        assert np.array_equal(x[0], x1[0])
+        self.assert_close(x[1:], x1[1:])
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_lucky_termination_mid_window(self, monkeypatch, method):
+        # b lives in a 5 x 5 diagonal block: the Krylov space closes at step 5
+        rng = np.random.default_rng(41)
+        block = rand_complex_symmetric(5, rng)
+        M = np.zeros((20, 20), dtype=complex)
+        M[:5, :5] = block
+        M[5:, 5:] = np.diag(np.arange(1.0, 16.0))
+        A = sparse_from(M)
+        b = np.zeros(20, dtype=complex)
+        b[:5] = 10 * (rng.standard_normal(5) + 1j * rng.standard_normal(5))
+        shifts = [0.5 + 0.5j, 2.0 + 0.1j]
+        x1, rep1 = self.solve(monkeypatch, 1, A, b, shifts, method, tol=1e-12)
+        x, rep = self.solve(monkeypatch, 3, A, b, shifts, method, tol=1e-12)
+        assert rep.lucky and rep1.lucky and rep.iterations == 5  # mid window 4..6
+        assert list(rep.iters) == list(rep1.iters) == [5, 5] and rep.all_converged
+        self.assert_close(x, x1)
+        for xl, sigma in zip(x, shifts):
+            xs = np.linalg.solve(M + sigma * np.eye(20), b)
+            assert np.linalg.norm(xl - xs) <= 1e-10 * np.linalg.norm(xs)
+
+    @pytest.mark.parametrize("c", [7, None])
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("method", RECURRENCES)
+    def test_shift_alone_equals_shift_in_family(self, monkeypatch, method, real, c):
+        n = 600
+        A = generate_hamiltonian_analog(n, 8, seed=5, real=real)
+        b = e1(n)
+        if c is not None:
+            monkeypatch.setattr(solvers, "_WINDOW_ELEMS", c * n)
+        # shifts per row block of a window flush, which assembles x and one or
+        # two directions per shift
+        targets = 2 if method == "qmr-sym-b" else 3
+        per_block = max(1, solvers._BLOCK_ELEMS // (targets * n))
+        family = 0.3 + 0.05 * np.arange(per_block + 3) + 0.002j
+        pick = per_block + 1  # in the second row block
+        x, fam = solve_all(A, b, family, method=method, tol=1e-12, record_history=True)
+        xs, solo = solve_all(A, b, family[pick : pick + 1], method=method, tol=1e-12,
+                             record_history=True)
+        assert len(set(fam.iters)) > 1
+        assert fam.iters[pick] == solo.iters[0]
+        assert np.array_equal(x[pick], xs[0])
+        assert fam.history[pick] == solo.history[0]
+        assert fam.final_rel_estimate[pick] == solo.final_rel_estimate[0]

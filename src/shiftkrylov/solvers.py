@@ -15,10 +15,9 @@ Four methods consume the same Lanczos step data:
   conjugate-orthogonal CG iterates, which this implementation realizes
   through the *same* two-term recurrences as ``qmr-sym-b`` (the projected
   Galerkin system and the bidiagonal-weight least-squares problem have the
-  same solution). It is kept as a distinct method because its reported
-  residuals are computed explicitly as ``||b - (A + sigma I) x||``, one
-  sparse block product ``A X^T`` per block of at most ``2**14`` iterate
-  entries (:func:`true_residual`).
+  same solution). It is kept as a distinct method because it deflates a
+  shift only once its explicit residual ``||b - (A + sigma I) x||``
+  (:func:`true_residual`) meets the tolerance too, and reports that residual.
 
 All shifts of a solve live in one :class:`ShiftBatch`, one row per shift of
 the ``m x N`` arrays ``X``, ``P1`` (``P2``) and, where an estimate needs it,
@@ -33,11 +32,12 @@ the window's basis vectors, and one GEMM per row block applies them (the
 deferred assembly of Frommer and Simoncini, "Matrix functions", *Model Order
 Reduction*, 2008). A shift that deflates or breaks down is assembled the
 same way at once, the others at the end; memory is ``O(mN + cN)``. ``cocg``
-and any solve with a callback need live iterates at every step: they use a
-window of one step, the streaming update ``P = v - aP; X += dP`` in
-cache-sized row blocks. Every product rounds a shift's row independently of
-the rows computed with it (see the notes at the products), so a shift's
-results do not depend on which other shifts are solved alongside it.
+checks a shift whose recurrence value meets the tolerance on its iterate,
+assembled without changing the batch. A callback, or a ``cocg`` history,
+needs live iterates: a window of one step, the streaming update ``P = v -
+aP; X += dP`` in cache-sized row blocks. Every product rounds a shift's row
+independently of the rows computed with it (see the notes at the products),
+so a shift's results do not depend on which other shifts are solved with it.
 """
 
 from __future__ import annotations
@@ -205,15 +205,16 @@ class ShiftBatch:
         if b is not None:
             self.P1, self.P2 = self.P2, self.P1
 
-    def flush(self, rows: slice, carry: bool):
-        """Add the window's steps to the iterates of ``rows``. With ``carry``
-        also advance their directions to the window's last step and empty
-        the window (the rows must then be the whole active prefix)."""
+    def flush(self, rows, carry: bool, into=None):
+        """Add the window's steps to the iterates of ``rows`` (a slice or index
+        array), or to ``into`` (a copy of their ``X``) leaving the batch as it is.
+        With ``carry`` also advance their directions to the window's last step
+        and empty the window (the rows must then be the whole active prefix)."""
         k = self.k
         if carry:
             self.k = 0
-        h = rows.stop - rows.start
-        if k == 0 or h <= 0:
+        h = len(self.perm[rows])
+        if k == 0 or h == 0:
             return
         # column t * h + j of Y: target t (x, then with carry p_e, p_{e-1}) of
         # row j on p_{s-2}, p_{s-1}, v_s .. v_e. The sweep multiplies whole rows:
@@ -234,7 +235,8 @@ class ShiftBatch:
         hb = max(1, _BLOCK_ELEMS // (targets * self.n))
         for lo in range(0, h, hb):
             hi = min(h, lo + hb)
-            nb, r = hi - lo, slice(rows.start + lo, rows.start + hi)
+            nb = hi - lo
+            r = slice(rows.start + lo, rows.start + hi) if isinstance(rows, slice) else rows[lo:hi]
             cols = [slice(t * h + lo, t * h + hi) for t in range(targets)]
             C = np.concatenate([Y[2:, c] for c in cols], axis=1).T
             # complex coefficients on a real basis: one real GEMM for both parts
@@ -254,17 +256,28 @@ class ShiftBatch:
                 for j, P in enumerate(carried):
                     out += Y[1 - j, cols[t], None] * P
                 new.append(out)
+            if into is not None:
+                into[lo:hi] += new[0]
+                continue
             self.X[r] += new[0]
             if carry:
                 self.P1[r] = new[1]
                 if B is not None:
                     self.P2[r] = new[2]
 
-    def retire(self, done):
+    def iterates(self, rows):
+        """The current iterates of ``rows`` (an index array), assembled as
+        :meth:`flush` assembles them, without changing the batch."""
+        X = self.X[rows]
+        self.flush(rows, carry=False, into=X)
+        return X
+
+    def retire(self, done, assembled=None):
         """Take the rows marked in ``done`` (over the active prefix) out of
         it: record their status, move them behind the survivors and assemble
-        their iterates."""
+        their iterates, except those of the rows marked in ``assembled``."""
         na = self.na
+        assembled = np.zeros(na, dtype=bool) if assembled is None else assembled
         for r in np.flatnonzero(done):
             broken = self.bad is not None and self.bad[r]
             self.status[self.perm[r]] = "breakdown" if broken else "converged"
@@ -281,21 +294,29 @@ class ShiftBatch:
                     if arr is not None:
                         arr[: self.k + 2, a] = arr[: self.k + 2, b]
             self.row[self.perm[a]] = a
+            assembled[a] = assembled[b]
         self.na = keep
-        self.flush(slice(keep, na), carry=False)
+        rows = keep + np.flatnonzero(~assembled[keep:]) if assembled.any() else slice(keep, na)
+        self.flush(rows, carry=False)
 
-    def record(self, n, est, target, bnorm):
+    def record(self, n, est, target, bnorm, ok=True, rows=None, X=None):
         """Store the step-``n`` residuals ``est`` of the active prefix (broken
-        rows keep their previous value) and retire the shifts that are done."""
+        rows keep their previous value), then retire the broken rows and the
+        rows meeting ``target`` where ``ok``. A retired row of ``rows`` keeps
+        its iterate from ``X``, the assembled iterates of ``rows``."""
         na, bad = self.na, self.bad
         live = slice(None) if bad is None else ~bad
         res = self.res[:na]
         res[live] = est[live]
-        done = res <= target if bad is None else bad | (res <= target)
+        done = (res <= target) & ok if bad is None else bad | (res <= target) & ok
         if self.history is not None:
             self.history.append((n, self.perm[:na][live].copy(), res[live] / bnorm))
         if done.any():
-            self.retire(done)
+            assembled = np.zeros(na, dtype=bool)
+            if X is not None:
+                assembled[rows] = done[rows]
+                self.X[rows[done[rows]]] = X[done[rows]]
+            self.retire(done, assembled)
 
     def finish(self):
         """Assemble the remaining rows and return the iterates in shift order."""
@@ -410,8 +431,8 @@ def cocg_galerkin_update(batch: ShiftBatch, step: LanczosStep, counter: FlopCoun
     """One Galerkin-baseline step for every active shift. The iterate solves
     ``(T_n + sigma I_n) y = g_1 e_1`` and so equals the shifted
     conjugate-orthogonal-CG iterate; the recurrences are those of
-    :func:`qmr_sym_b_update`, and the driver computes this method's
-    residuals explicitly rather than from the recurrence scalars."""
+    :func:`qmr_sym_b_update`, and :func:`solve_all` checks this method's
+    residuals explicitly before it deflates a shift."""
     _elimination_update(batch, step, counter)
     return batch
 
@@ -478,9 +499,10 @@ class SolveReport:
     ``status[l]`` is ``"converged"``, ``"breakdown"`` or ``"unconverged"``;
     ``iters[l]`` counts the updates applied to shift ``l`` (its deflation
     step when converged). Estimates and true residuals are relative to
-    ``||b||``. ``history`` (when recorded) holds per-shift lists of
+    ``||b||``; ``cocg``'s estimate is the explicit residual of the returned
+    iterate. ``history`` (when recorded) holds per-shift lists of
     ``(iteration, relative_estimate)`` pairs, one entry per iteration the
-    shift was active.
+    shift was active (explicit residuals for ``cocg``).
     """
 
     method: str
@@ -550,12 +572,13 @@ def solve_all(
     method : str
         One of ``"cocg"``, ``"qmr-sym"``, ``"qmr-sym-b"``, ``"qmr-sym-omega"``.
     tol : float
-        Relative residual target: a shift is deflated once its estimate
-        satisfies ``||r|| <= tol * ||b||``.
+        Relative residual target: a shift is deflated once its estimate (and
+        for ``cocg`` its explicit residual) satisfies ``||r|| <= tol * ||b||``.
     max_iter : int, optional
         Iteration cap; defaults to ``2 * A.n``.
     record_history : bool
-        Keep per-iteration relative residual estimates per shift.
+        Keep per-iteration relative residual estimates per shift (``cocg``
+        then computes every active shift's explicit residual at every step).
     true_residuals : bool
         Append an explicit end-of-solve residual verification pass.
     counter : FlopCounter, optional
@@ -600,7 +623,7 @@ def solve_all(
     t0 = time.perf_counter()
     lstate = lanczos_init(A, b_arr)
     bnorm = lstate.bnorm2
-    stream = method == "cocg" or callback is not None
+    stream = callback is not None or (method == "cocg" and record_history)
     batch = ShiftBatch(method, shifts.shifts, lstate.g1, lstate.v_curr, max_iter, stream,
                        record_history)
     target = tol * bnorm
@@ -621,16 +644,15 @@ def solve_all(
             break
         iterations = n
         update(batch, step, counter)
-        na, bad = batch.na, batch.bad
-        if method == "cocg":
-            live = slice(0, na) if bad is None else np.flatnonzero(~bad)
-            est = np.empty(na)
-            est[live] = _residual_norms(A, b_arr, batch.sigma[live], batch.X[live], counter)
-        elif method == "qmr-sym-b":
-            est = estimate_residual_qmr_b(batch, step.v_next)
-        else:
-            est = estimate_residual_qmr(batch)
-        batch.record(n, est, target, bnorm)
+        est = (estimate_residual_qmr_b(batch, step.v_next) if method in ("cocg", "qmr-sym-b")
+               else estimate_residual_qmr(batch))
+        ok, rows, X = True, None, None
+        if method == "cocg":  # explicit residuals: rows meeting the target by recurrence
+            ok = est <= target
+            rows = np.flatnonzero((ok | stream) & (True if batch.bad is None else ~batch.bad))
+            X = batch.iterates(rows)
+            est[rows] = _residual_norms(A, b_arr, batch.sigma[rows], X, counter)
+        batch.record(n, est, target, bnorm, ok, rows, X)
         if callback is not None:  # each shift's current row, in shift order
             callback(n, [SimpleNamespace(x=batch.X[r], sigma=complex(batch.sigma[r]),
                                          g=complex(batch.g[r]), res=float(batch.res[r]),
@@ -651,6 +673,9 @@ def solve_all(
     final_rel_true = (_residual_norms(A, b_arr, shifts.shifts, solutions, counter) / bnorm
                       if true_residuals else None)
     res = batch.res[order]
+    if method == "cocg" and not stream:  # explicit residuals of the unverified iterates
+        rest = [ell for ell, s in enumerate(batch.status) if s != "converged"]
+        res[rest] = _residual_norms(A, b_arr, shifts.shifts[rest], solutions[rest], counter)
     report = SolveReport(
         method=method,
         n=A.n,

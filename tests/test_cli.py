@@ -262,3 +262,23 @@ class TestDeterminism:
         assert first.keys() == second.keys()
         for key in first:
             assert first[key] == second[key], key
+
+    def test_history_does_not_change_iterations(self, tmp_path):
+        # with --history cocg takes every active shift's explicit residual at
+        # every step, without it only where the recurrence meets the tolerance
+        shifts = write_shift_file(tmp_path / "s.txt", "range 0.4 0.01 0.001 20\n")
+        args = ["--generate", "48,5,23", "--shifts", shifts, "--method", "all", "--tol", "1e-12"]
+        for tag, extra in (("hist", ["--history"]), ("plain", [])):
+            assert main(args + extra + ["--out-prefix", str(tmp_path / tag)]) == EXIT_OK
+        for method in ("cocg", "qmr-sym", "qmr-sym-b", "qmr-sym-omega"):
+            rows = [[line.split() for line in open(tmp_path / f"{tag}.{method}.summary.txt")
+                     if not line.startswith("#")] for tag in ("hist", "plain")]
+            # index, shift, iterations and status
+            assert [r[:4] + r[-1:] for r in rows[0]] == [r[:4] + r[-1:] for r in rows[1]]
+        lines = [open(tmp_path / f"{tag}.compare.txt").read().splitlines()
+                 for tag in ("hist", "plain")]
+        assert len(lines[0]) == len(lines[1])
+        for a, b in zip(*lines):
+            if a.startswith("# totals method=cocg "):
+                a, b = (line.rsplit(" matvec_complex=", 1)[0] for line in (a, b))
+            assert a == b

@@ -87,6 +87,20 @@ def pivot_zero_banded(n, real):
     return sparse_from(M), e1(n)
 
 
+@pytest.fixture
+def verified_rows(monkeypatch):
+    """The number of rows of each :func:`true_residual` call ``solve_all`` makes."""
+    rows = []
+    residual = solvers.true_residual
+
+    def counting(A, sigma, b, x, counter=None):
+        rows.append(len(np.atleast_2d(x)))
+        return residual(A, sigma, b, x, counter=counter)
+
+    monkeypatch.setattr(solvers, "true_residual", counting)
+    return rows
+
+
 class TestRotationUpdate:
     def test_three_four_five_rotation(self):
         # fresh state, first step: column scalars (t_nn, t_n+1,n) = (3, 4)
@@ -281,15 +295,27 @@ class TestBlockResidual:
         assert frozen == [frozen[0]] * len(frozen)
         assert rep.final_rel_estimate[0] == frozen[0] == true_residual(A, 0.0, b, x[0])
 
-    def test_cocg_charges_one_complex_matvec_per_residual(self):
+    def test_cocg_charges_one_complex_matvec_per_residual(self, verified_rows):
         A, b = pivot_zero_banded(600, real=True)
+        # a recorded history streams the iterates: every live shift is checked
         counter = FlopCounter()
-        _, rep = solve_all(
-            A, b, self.FAMILY, method="cocg", tol=1e-12, counter=counter, true_residuals=True
-        )
+        _, rep = solve_all(A, b, self.FAMILY, method="cocg", tol=1e-12, counter=counter,
+                           true_residuals=True, record_history=True)
         assert counter.matvec_real == 2 * A.nnz * rep.iterations  # the Lanczos stream
         # one per shift per completed update, plus the final verification pass
         assert counter.matvec_complex == 2 * A.nnz * (int(rep.iters.sum()) + rep.m)
+
+        # windowed: only the rows whose recurrence value met the target are checked
+        for final_pass in (False, True):
+            verified_rows.clear()
+            counter = FlopCounter()
+            _, win = solve_all(A, b, self.FAMILY, method="cocg", tol=1e-12, counter=counter,
+                               true_residuals=final_pass)
+            assert list(win.iters) == list(rep.iters) and win.status == rep.status
+            assert counter.matvec_real == 2 * A.nnz * win.iterations
+            verified = sum(verified_rows) - final_pass * win.m
+            assert win.m <= verified < int(win.iters.sum())
+            assert counter.matvec_complex == 2 * A.nnz * (verified + final_pass * win.m)
 
     @pytest.mark.parametrize("real", [True, False])
     def test_cocg_shift_alone_equals_shift_in_family(self, real):
@@ -330,6 +356,85 @@ class TestBlockResidual:
             true_residual(A, sigmas[:-1], b, X)
         with pytest.raises(ValueError):
             true_residual(A, sigmas, b, X[:, :-1])
+
+
+class TestVerifiedDeflation:
+    """``cocg`` without a callback or a history: the ``qmr-sym-b`` recurrence
+    on the windowed engine, with explicit residuals only for the shifts whose
+    recurrence value meets the target."""
+
+    FAMILY = TestBlockResidual.FAMILY
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_reported_residual_is_that_of_the_returned_iterate(self, real):
+        A, b = pivot_zero_banded(600, real)
+        b = 3.0 * b  # ||b|| = 3
+        x, rep = solve_all(A, b, self.FAMILY, method="cocg", tol=1e-12)
+        assert rep.status[0] == "breakdown" and rep.status.count("converged") == 40
+        for ell, sigma in enumerate(self.FAMILY):
+            assert rep.final_rel_estimate[ell] == true_residual(A, sigma, b, x[ell]) / rep.bnorm
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_iterate_equals_bidiagonal_method(self, real):
+        A = generate_hamiltonian_analog(300, 8, seed=12, real=real)
+        b = e1(300)
+        shifts = 0.3 + 0.02 * np.arange(60) + 0.003j
+        xc, cocg = solve_all(A, b, shifts, method="cocg", tol=1e-12)
+        xb, qmrb = solve_all(A, b, shifts, method="qmr-sym-b", tol=1e-12)
+        same = np.flatnonzero(cocg.iters == qmrb.iters)
+        assert len(same) > 50 and len(set(cocg.iters[same])) > 1
+        for ell in same:
+            assert np.array_equal(xc[ell], xb[ell])
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_shift_alone_equals_shift_in_family(self, real):
+        A = generate_hamiltonian_analog(512, 8, seed=5, real=real)
+        b = e1(512)
+        family = 0.3 + 0.004 * np.arange(130) + 0.002j
+        x, fam = solve_all(A, b, family, method="cocg", tol=1e-12)
+        xs, solo = solve_all(A, b, family[77:78], method="cocg", tol=1e-12)
+        # shift 77 is checked together with neighbours that deflate at other steps
+        assert len(set(fam.iters)) > 1 and np.sum(fam.iters == fam.iters[77]) > 1
+        assert fam.iters[77] == solo.iters[0]
+        assert np.array_equal(x[77], xs[0])
+        assert fam.final_rel_estimate[77] == solo.final_rel_estimate[0]
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_both_residuals_must_meet_the_target(self, real):
+        A = generate_hamiltonian_analog(120, 6, seed=9, real=real)
+        b, shifts = e1(120), [0.7 + 0.05j]  # ||b|| = 1
+        _, rec = solve_all(A, b, shifts, method="qmr-sym-b", tol=1e-300, max_iter=40,
+                           record_history=True)
+        _, exp = solve_all(A, b, shifts, method="cocg", tol=1e-300, max_iter=40,
+                           record_history=True)
+        rec, exp = ([value for _, value in r.history[0]] for r in (rec, exp))
+        # a step whose explicit residual is the first to meet a target its
+        # recurrence value misses
+        n = next(k for k in range(2, 40) if exp[k] < rec[k] and min(exp[:k]) > rec[k])
+        for history in (True, False):
+            _, rep = solve_all(A, b, shifts, method="cocg", tol=exp[n], record_history=history)
+            assert rep.status == ["converged"] and rep.iters[0] == n + 2
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_tolerance_below_the_floor_is_checked_at_every_step(self, verified_rows, real):
+        A = generate_hamiltonian_analog(120, 6, seed=9, real=real)
+        b = e1(120)
+        shifts, tol = [0.7 + 0.05j], 1e-17
+        # the recurrence values, from a run that never deflates
+        _, ref = solve_all(A, b, shifts, method="qmr-sym-b", tol=1e-300, max_iter=120,
+                           record_history=True)
+        crossed = [n for n, value in ref.history[0] if value <= tol]
+        max_iter = crossed[0] + 5
+        below = sum(n <= max_iter for n in crossed)
+        assert below >= 5
+        x, rep = solve_all(A, b, shifts, method="cocg", tol=tol, max_iter=max_iter)
+        assert rep.status == ["unconverged"] and rep.iters[0] == max_iter
+        # every step below the target, then once more for the returned iterate
+        assert verified_rows == [1] * (below + 1)
+        assert tol < rep.final_rel_estimate[0] == true_residual(A, shifts[0], b, x[0])
+        # the failed checks left the iterate as the recurrences make it
+        xb, _ = solve_all(A, b, shifts, method="qmr-sym-b", tol=1e-300, max_iter=max_iter)
+        assert np.array_equal(x[0], xb[0])
 
 
 class TestResidualEstimates:

@@ -20,8 +20,8 @@ Four methods consume the same Lanczos step data:
   (:func:`true_residual`) meets the tolerance too, and reports that residual.
 
 All shifts of a solve live in one :class:`ShiftBatch`, one row per shift of
-the ``m x N`` arrays ``X``, ``P1`` (``P2``) and, where an estimate needs it,
-``W``; the scalar state is a set of ``m``-vectors. The active shifts form a
+the ``m x N`` arrays ``X``, ``P1`` (``P2``) and, for rotations on a complex
+basis, ``W``; scalar state lives in ``m``-vectors. The active shifts form a
 contiguous prefix of the rows. A method's update runs its scalar recurrence
 once per Lanczos step over that prefix and emits per shift the coefficients
 of ``p_n = v_n - a_n p_{n-1} - b_n p_{n-2}`` (``b_n = 0`` for the two-term
@@ -115,14 +115,13 @@ class ShiftBatch:
         self.P1 = np.zeros_like(self.X)
         rotation = method in ("qmr-sym", "qmr-sym-omega")
         self.P2 = np.zeros_like(self.X) if rotation else None
-        self.W = None
+        omega1 = 1.0
         if method == "qmr-sym-omega":
             omega1 = float(np.linalg.norm(v1))
             self.omegas = (1.0, omega1)  # omega_{n-1} multiplies beta_0 = 0
             self.g *= omega1
-            self.W = np.tile(v1.astype(np.complex128) / omega1, (m, 1))
-        elif method == "qmr-sym" and not self.real:
-            self.W = np.tile(v1.astype(np.complex128), (m, 1))
+        # no w on a real basis: there v^T v = v^H v = 1 keeps ||w|| at one
+        self.W = None if self.real or not rotation else np.tile(v1.astype(complex) / omega1, (m, 1))
         self.diag1 = np.zeros(m, dtype=np.complex128)
         fields = ["sigma", "perm", "g", "res", "niter", "X", "P1", "diag1"]
         if rotation:
@@ -386,15 +385,16 @@ def qmr_sym_omega_update(batch: ShiftBatch, step: LanczosStep, counter: FlopCoun
     """Rotation step on the row-scaled columns.
 
     The weights ``(omega_{n-1}, omega_n, omega_{n+1})`` are the 2-norms of
-    the corresponding basis vectors; ``v_{n+1} / omega_{n+1}`` is formed once
-    per step, and the estimate vectors track ``w~_{n+1} = -s_n w~_n + c_n
-    v_{n+1} / omega_{n+1}`` so that ``|g_{n+1}| ||w~_{n+1}||`` equals the
-    true residual norm.
+    the corresponding basis vectors. On a complex basis the estimate vectors
+    track ``w~_{n+1} = -s_n w~_n + c_n v_{n+1} / omega_{n+1}`` so that
+    ``|g_{n+1}| ||w~_{n+1}||`` equals the true residual norm; on a real basis
+    that norm is one up to rounding and neither ``w~`` nor ``v_{n+1} /
+    omega_{n+1}`` is formed.
     """
     om_np1 = float(np.linalg.norm(step.v_next))
     om_nm1, om_n = batch.omegas
     # omega_{n+1} vanishes only on lucky termination, where v_next is zero anyway
-    u = step.v_next / (om_np1 if om_np1 > 0 else 1.0)
+    u = None if batch.W is None else step.v_next / (om_np1 if om_np1 > 0 else 1.0)
     _rotation_update(batch, step, (om_nm1, om_n, om_np1), u, counter)
     batch.omegas = (om_n, om_np1)
     return batch
@@ -439,9 +439,9 @@ def cocg_galerkin_update(batch: ShiftBatch, step: LanczosStep, counter: FlopCoun
 
 def estimate_residual_qmr(batch: ShiftBatch) -> np.ndarray:
     """Residual 2-norm estimates ``|g_{n+1}| * ||w_{n+1}||`` of the active
-    shifts for the rotation methods. On the real path ``qmr-sym`` keeps no
-    ``w``: its norm factor is identically one and the estimate is exactly
-    ``|g_{n+1}|``."""
+    shifts for the rotation methods. On the real path neither ``qmr-sym`` nor
+    ``qmr-sym-omega`` keeps a ``w``: its norm factor is one (up to rounding
+    for the weighted ``w~``) and the estimate is exactly ``|g_{n+1}|``."""
     g = _abs(batch.g[: batch.na])
     if batch.W is None:
         return g

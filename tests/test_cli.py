@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +26,18 @@ def test_parser_defaults_match_protocol():
     assert args.rhs is None  # falls back to e_1
     assert args.method == "all"
     assert args.max_iter is None  # falls back to 2n
+
+
+def test_module_entry_point_runs_without_warning():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "shiftkrylov", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: shiftkrylov")
 
 
 class TestGenerator:

@@ -24,6 +24,7 @@ from shiftkrylov import solvers
 from shiftkrylov.solvers import ShiftBatch
 
 from _reference import rand_complex_symmetric, rand_real_symmetric, reference_cg
+from test_acceptance import attainable_gap
 
 EPS = np.finfo(np.float64).eps
 
@@ -467,6 +468,56 @@ class TestResidualEstimates:
         solve_all(A, b, [0.3 + 0.2j], method="qmr-sym-b", tol=1e-13, callback=cb)
         for est, g in checks:
             assert est == g
+
+    @pytest.mark.parametrize("method", ["qmr-sym", "qmr-sym-omega"])
+    def test_estimate_vectors_kept_on_complex_basis_only(self, method):
+        v1 = np.ones(4) / 2.0
+        assert ShiftBatch(method, [0.5j, 1.0], 1.0, v1, 4).W is None
+        W = ShiftBatch(method, [0.5j, 1.0], 1.0, v1.astype(complex), 4).W
+        assert W is not None and W.shape == (2, 4)
+
+    @pytest.mark.parametrize("method", ["qmr-sym", "qmr-sym-omega"])
+    def test_real_path_estimate_fidelity_past_n_steps(self, method):
+        # criterion 2's rule on a real 3-D lattice, run past N steps so the
+        # real path is checked where Lanczos orthogonality is lost
+        L, tol = 6, 1e-10
+        n = L**3
+        idx = np.arange(n).reshape(L, L, L)
+        M = np.diag(np.random.default_rng(6).uniform(-0.5, 0.5, n))
+        for axis in range(3):
+            lo = np.take(idx, np.arange(L - 1), axis=axis).ravel()
+            hi = np.take(idx, np.arange(1, L), axis=axis).ravel()
+            M[lo, hi] = M[hi, lo] = -1.0
+        A = sparse_from(M)
+        b = np.zeros(n)
+        b[idx[L // 2, L // 2, L // 2]] = 1.0
+        bnorm = 1.0
+        shifts = np.linspace(-6.0, 6.0, 9) + 0.05j
+        eigs = np.linalg.eigvalsh(M)
+        shifted_norms = [np.abs(eigs + s).max() for s in shifts]
+        nnz_row = int(np.diff(A.indptr).max())
+        rows = []
+        xmax = np.zeros(len(shifts))
+
+        def cb(k, states):
+            for i, st in enumerate(states):
+                if st.niter == k:  # every shift updated at this iteration
+                    xmax[i] = max(xmax[i], np.linalg.norm(st.x))
+                    rows.append((k, i, st.res, true_residual(A, st.sigma, b, st.x), xmax[i]))
+
+        _, rep = solve_all(A, b, shifts, method=method, tol=tol, max_iter=2 * n, callback=cb)
+        assert rep.all_converged and rep.iterations > n
+        examined = 0
+        for k, i, est, tr, xm in rows:
+            if tr < 1e-10 * bnorm:
+                continue
+            examined += 1
+            term = attainable_gap(k, nnz_row, bnorm, shifted_norms[i], xm)
+            # the term grows with k: about 6e-3 * tol * ||b|| after 380 steps,
+            # still far below the deflation threshold it must not mask
+            assert term <= 1e-2 * tol * bnorm
+            assert abs(est - tr) <= 1e-6 * tr + term, (k, shifts[i], est, tr)
+        assert examined > 1000
 
     @pytest.mark.parametrize("method", ["qmr-sym", "qmr-sym-b", "qmr-sym-omega"])
     def test_estimate_tracks_explicit_residual(self, method):

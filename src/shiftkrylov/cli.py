@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,12 +26,7 @@ from .core import BreakdownError, FlopCounter, SparseSymMatrix
 from .oracle import DEFAULT_CAP, DenseOracle
 from .solvers import METHODS, solve_all
 
-__all__ = [
-    "RunConfig",
-    "generate_hamiltonian_analog",
-    "main",
-    "run",
-]
+__all__ = ["generate_hamiltonian_analog", "main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -92,22 +86,6 @@ def generate_hamiltonian_analog(
     )
 
 
-@dataclass
-class RunConfig:
-    """Validated run description consumed by :func:`run`."""
-
-    matrix_path: str | None = None
-    generate: tuple | None = None  # (n, bandwidth, seed[, dominance])
-    rhs_path: str | None = None
-    shifts_path: str | None = None
-    method: str = "all"
-    tol: float = 1e-12
-    max_iter: int | None = None
-    history: bool = False
-    check: bool = False
-    out_prefix: str | None = None
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="shiftkrylov",
@@ -152,41 +130,6 @@ def _parse_generate(spec: str):
     return n, bandwidth, seed, dominance
 
 
-def config_from_args(args) -> RunConfig:
-    generate = None
-    if args.generate is not None:
-        generate = _parse_generate(args.generate)
-    cfg = RunConfig(
-        matrix_path=args.matrix,
-        generate=generate,
-        rhs_path=args.rhs,
-        shifts_path=args.shifts,
-        method=args.method,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        history=args.history,
-        check=args.check,
-        out_prefix=args.out_prefix,
-    )
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig):
-    if (cfg.matrix_path is None) == (cfg.generate is None):
-        raise ValueError("exactly one of matrix path and generate spec is required")
-    if cfg.shifts_path is None:
-        raise ValueError("a shift file is required")
-    if cfg.tol <= 0:
-        raise ValueError("tol must be positive")
-    if cfg.max_iter is not None and cfg.max_iter < 1:
-        raise ValueError("max-iter must be >= 1")
-    if cfg.history and not cfg.out_prefix:
-        raise ValueError("--history needs --out-prefix to write the CSV to")
-    if cfg.method not in METHODS + ("all",):
-        raise ValueError(f"unknown method {cfg.method!r}")
-
-
 def _summary_line(report) -> str:
     conv = sum(s == "converged" for s in report.status)
     return (
@@ -216,21 +159,31 @@ def _write_compare(path, reports):
             )
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute a validated configuration. Returns the process exit code."""
+def main(argv=None) -> int:
+    """Run the command line ``argv`` (default: ``sys.argv[1:]``). Returns the
+    process exit code; argparse itself exits 2 on a malformed command line."""
+    args = build_parser().parse_args(argv)
     try:
-        _validate(cfg)
+        generate = _parse_generate(args.generate) if args.generate is not None else None
+        if not np.isfinite(args.tol):
+            raise ValueError(f"tol must be finite, got {args.tol}")
+        if args.tol <= 0:
+            raise ValueError("tol must be positive")
+        if args.max_iter is not None and args.max_iter < 1:
+            raise ValueError("max-iter must be >= 1")
+        if args.history and not args.out_prefix:
+            raise ValueError("--history needs --out-prefix to write the CSV to")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     try:
-        if cfg.generate is not None:
-            A = generate_hamiltonian_analog(*cfg.generate[:3], dominance=cfg.generate[3])
+        if generate is not None:
+            A = generate_hamiltonian_analog(*generate[:3], dominance=generate[3])
         else:
-            A = skio.read_matrix_market(cfg.matrix_path)
-        shifts = skio.read_shifts(cfg.shifts_path)
-        b = skio.read_rhs(cfg.rhs_path, A.n) if cfg.rhs_path else skio.default_rhs(A.n)
+            A = skio.read_matrix_market(args.matrix)
+        shifts = skio.read_shifts(args.shifts)
+        b = skio.read_rhs(args.rhs, A.n) if args.rhs else skio.default_rhs(A.n)
     except skio.ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -238,12 +191,12 @@ def run(cfg: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    if cfg.check and A.n > DEFAULT_CAP:
+    if args.check and A.n > DEFAULT_CAP:
         print(f"error: --check is limited to n <= {DEFAULT_CAP}", file=sys.stderr)
         return EXIT_USAGE
 
-    oracle = DenseOracle(A) if cfg.check else None
-    methods = list(METHODS) if cfg.method == "all" else [cfg.method]
+    oracle = DenseOracle(A) if args.check else None
+    methods = list(METHODS) if args.method == "all" else [args.method]
     reports = []
     saw_breakdown = False
     saw_unconverged = False
@@ -255,10 +208,10 @@ def run(cfg: RunConfig) -> int:
                 b,
                 shifts,
                 method=method,
-                tol=cfg.tol,
-                max_iter=cfg.max_iter,
-                record_history=cfg.history,
-                true_residuals=cfg.check,
+                tol=args.tol,
+                max_iter=args.max_iter,
+                record_history=args.history,
+                true_residuals=args.check,
                 counter=counter,
             )
         except BreakdownError as exc:
@@ -276,33 +229,21 @@ def run(cfg: RunConfig) -> int:
             for idx, sigma in enumerate(report.shifts):
                 xs = oracle.solve(sigma, b)
                 oracle_distance[idx] = np.linalg.norm(solutions[idx] - xs) / np.linalg.norm(xs)
-        if cfg.out_prefix:
-            skio.write_summary(report, f"{cfg.out_prefix}.{method}.summary.txt", oracle_distance)
-            if cfg.history:
-                skio.write_history_csv(report, f"{cfg.out_prefix}.{method}.history.csv")
+        if args.out_prefix:
+            skio.write_summary(report, f"{args.out_prefix}.{method}.summary.txt", oracle_distance)
+            if args.history:
+                skio.write_history_csv(report, f"{args.out_prefix}.{method}.history.csv")
 
         saw_breakdown = saw_breakdown or report.any_breakdown
         saw_unconverged = saw_unconverged or not report.all_converged
 
-    if cfg.method == "all" and cfg.out_prefix:
-        _write_compare(f"{cfg.out_prefix}.compare.txt", reports)
+    if args.method == "all" and args.out_prefix:
+        _write_compare(f"{args.out_prefix}.compare.txt", reports)
     if saw_breakdown:
         return EXIT_BREAKDOWN
     if saw_unconverged:
         return EXIT_UNCONVERGED
     return EXIT_OK
-
-
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        cfg = config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return run(cfg)
-
 
 if __name__ == "__main__":
     sys.exit(main())

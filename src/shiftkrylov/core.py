@@ -148,9 +148,10 @@ class SparseSymMatrix:
             bad = within_row & (np.diff(indices) <= 0)
             if bad.any():
                 k = int(np.nonzero(bad)[0][0])
+                if indices[k + 1] == indices[k]:
+                    raise ValueError(f"duplicate entry ({rows[k]},{indices[k]})")
                 raise ValueError(
-                    f"row {rows[k]}: column indices not strictly increasing "
-                    "(unsorted or duplicate)"
+                    f"row {rows[k]}: column indices not strictly increasing (unsorted)"
                 )
         self.n = n
         self.indptr = indptr
@@ -188,11 +189,6 @@ class SparseSymMatrix:
             raise ValueError("index out of range")
         order = np.lexsort((cols, rows))
         rows, cols, values = rows[order], cols[order], values[order]
-        if len(rows) > 1:
-            same = (np.diff(rows) == 0) & (np.diff(cols) == 0)
-            if same.any():
-                k = int(np.nonzero(same)[0][0])
-                raise ValueError(f"duplicate entry ({rows[k]},{cols[k]})")
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.add.at(indptr, rows + 1, 1)
         np.cumsum(indptr, out=indptr)

@@ -257,6 +257,18 @@ def _content_lines(path):
             yield k, text
 
 
+def _pair(path, lineno: int, text: str, what: str) -> complex:
+    """Parse one ``re im`` content line; ``what`` names the entry in the
+    message for a line that fails to parse."""
+    toks = text.split()
+    if len(toks) != 2:
+        raise ParseError(path, lineno, "expected 're im' pair")
+    try:
+        return complex(float(toks[0]), float(toks[1]))
+    except ValueError:
+        raise ParseError(path, lineno, f"malformed {what}") from None
+
+
 def read_shifts(path) -> ShiftSet:
     """Read a shift file: ``re im`` pairs, or one ``range a step_re step_im m``
     generator line expanding to ``a + (l-1)*step_re + i*step_im``."""
@@ -282,12 +294,7 @@ def read_shifts(path) -> ShiftSet:
         else:
             if generator is not None:
                 raise ParseError(path, lineno, "generator line must be the only content line")
-            if len(toks) != 2:
-                raise ParseError(path, lineno, "expected 're im' pair")
-            try:
-                pairs.append(complex(float(toks[0]), float(toks[1])))
-            except ValueError:
-                raise ParseError(path, lineno, "malformed shift pair") from None
+            pairs.append(_pair(path, lineno, text, "shift pair"))
     if generator is not None:
         a, step_re, step_im, m = generator
         ell = np.arange(m, dtype=np.float64)
@@ -308,15 +315,7 @@ def default_rhs(n: int) -> np.ndarray:
 def read_rhs(path, n: int) -> np.ndarray:
     """Read a right-hand side: one ``re im`` pair per line. Returns float64
     when every imaginary part is exactly zero, complex128 otherwise."""
-    values = []
-    for lineno, text in _content_lines(path):
-        toks = text.split()
-        if len(toks) != 2:
-            raise ParseError(path, lineno, "expected 're im' pair")
-        try:
-            values.append(complex(float(toks[0]), float(toks[1])))
-        except ValueError:
-            raise ParseError(path, lineno, "malformed rhs entry") from None
+    values = [_pair(path, lineno, text, "rhs entry") for lineno, text in _content_lines(path)]
     if len(values) != n:
         raise ParseError(
             path, 1, f"rhs length mismatch: expected {n} entries, found {len(values)}"

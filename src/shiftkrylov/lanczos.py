@@ -11,9 +11,9 @@ recent vectors are retained in solver mode; :func:`run_diagnostic` keeps the
 whole basis for verification work.
 
 Termination and breakdown are distinguished by two relative thresholds:
-``||v~|| <= termination_tol * ||b||`` signals an invariant subspace (lucky
+``||v~|| <= TERMINATION_TOL * ||b||`` signals an invariant subspace (lucky
 termination, every shifted system is then solvable exactly within it), while
-``|v~^T v~| <= breakdown_tol * ||v~||^2`` with a non-negligible ``v~`` is a
+``|v~^T v~| <= BREAKDOWN_TOL * ||v~||^2`` with a non-negligible ``v~`` is a
 serious breakdown of the bilinear pairing and aborts the process.
 """
 
@@ -72,11 +72,7 @@ class LanczosStep:
     lucky: bool
 
 
-def lanczos_init(
-    A: SparseSymMatrix,
-    b,
-    breakdown_tol: float = BREAKDOWN_TOL,
-) -> LanczosState:
+def lanczos_init(A: SparseSymMatrix, b) -> LanczosState:
     """Start the recurrence: ``v_1 = b / (b^T b)^{1/2}``, ``g_1 = (b^T b)^{1/2}``.
 
     Real ``A`` and real ``b`` keep the whole basis in float64. Raises
@@ -94,7 +90,7 @@ def lanczos_init(
     if bnorm2 == 0.0:
         raise ValueError("rhs must be nonzero")
     btb = bilinear_dot(b, b)
-    if abs(btb) <= breakdown_tol * bnorm2**2:
+    if abs(btb) <= BREAKDOWN_TOL * bnorm2**2:
         raise BreakdownError("bilinear", 0, f"|b^T b| = {abs(btb):.3e} vs ||b||^2 = {bnorm2**2:.3e}")
     g1 = principal_sqrt(btb)
     v1 = b / g1
@@ -108,11 +104,7 @@ def lanczos_init(
 
 
 def lanczos_step(
-    state: LanczosState,
-    A: SparseSymMatrix,
-    counter: FlopCounter | None = None,
-    breakdown_tol: float = BREAKDOWN_TOL,
-    termination_tol: float = TERMINATION_TOL,
+    state: LanczosState, A: SparseSymMatrix, counter: FlopCounter | None = None
 ) -> LanczosStep:
     """Advance one step: compute ``alpha_n``, ``v~ = A v_n - alpha_n v_n -
     beta_{n-1} v_{n-1}``, ``beta_n = (v~^T v~)^{1/2}`` (principal branch) and
@@ -131,14 +123,14 @@ def lanczos_step(
     alpha = bilinear_dot(v, Av)
     vt = Av - alpha * v - state.beta_prev * state.v_prev
     vt_norm = float(np.linalg.norm(vt))
-    if vt_norm <= termination_tol * state.bnorm2:
+    if vt_norm <= TERMINATION_TOL * state.bnorm2:
         beta = 0.0
         v_next = np.zeros_like(vt)
         lucky = True
         state.finished = True
     else:
         vtvt = bilinear_dot(vt, vt)
-        if abs(vtvt) <= breakdown_tol * vt_norm**2:
+        if abs(vtvt) <= BREAKDOWN_TOL * vt_norm**2:
             raise BreakdownError(
                 "bilinear", n, f"|v~^T v~| = {abs(vtvt):.3e} vs ||v~||^2 = {vt_norm**2:.3e}"
             )

@@ -596,8 +596,9 @@ def solve_all(
         deflation step). The report carries per-shift statuses, iteration
         counts, residual data and counters.
 
-    A non-finite shift or right-hand-side entry raises ``ValueError`` naming
-    its index. A degenerate right-hand side raises :class:`BreakdownError` from
+    A non-finite or non-positive ``tol``, and a non-finite shift or
+    right-hand-side entry, raise ``ValueError``; the latter names its index.
+    A degenerate right-hand side raises :class:`BreakdownError` from
     initialization; breakdowns during the run are reported per shift in the
     report instead of raising. Hitting ``max_iter`` leaves the affected
     shifts marked ``"unconverged"``.
@@ -606,6 +607,8 @@ def solve_all(
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if not isinstance(shifts, ShiftSet):
         shifts = ShiftSet(np.asarray(shifts, dtype=np.complex128))
+    if not np.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter is None:

@@ -32,11 +32,11 @@ from shiftkrylov import (
     SparseSymMatrix,
     read_matrix_market,
     read_shifts,
-    run_diagnostic,
     solve_all,
     true_residual,
     write_matrix_market,
 )
+from shiftkrylov.lanczos import run_diagnostic
 from shiftkrylov.cli import generate_hamiltonian_analog, main as cli_main
 
 from _reference import rand_complex_symmetric, rand_real_symmetric

@@ -231,6 +231,12 @@ class TestRun:
         assert main(["--generate", "64,5,1", "--shifts", shifts]) == EXIT_USAGE
         assert "shifts[1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_is_usage_error(self, tmp_path, capsys, tol):
+        shifts = write_shift_file(tmp_path / "s.txt")
+        assert main(["--generate", "64,5,1", "--shifts", shifts, "--tol", tol]) == EXIT_USAGE
+        assert "tol must be finite" in capsys.readouterr().err
+
     def test_zero_rhs_is_usage_error(self, tmp_path):
         rhs = tmp_path / "zero.txt"
         rhs.write_text("0.0 0.0\n0.0 0.0\n0.0 0.0\n")

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from shiftkrylov import (
-    FlopCounter,
-    ShiftSet,
-    SparseSymMatrix,
-    bilinear_dot,
-    principal_sqrt,
-    spmv,
-    true_residual,
-)
+from shiftkrylov import FlopCounter, ShiftSet, SparseSymMatrix, true_residual
+from shiftkrylov.core import bilinear_dot, principal_sqrt, spmv
 
 from _reference import rand_complex_symmetric
 

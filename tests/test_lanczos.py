@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
-from shiftkrylov import (
-    BreakdownError,
-    SparseSymMatrix,
-    bilinear_dot,
-    dense_tridiagonal,
-    lanczos_init,
-    lanczos_step,
-    run_diagnostic,
-)
+from shiftkrylov import BreakdownError, SparseSymMatrix
+from shiftkrylov.core import bilinear_dot
+from shiftkrylov.lanczos import lanczos_init, lanczos_step, run_diagnostic
+from shiftkrylov.oracle import dense_tridiagonal
 
 from _reference import rand_complex_symmetric, rand_real_symmetric, reference_lanczos
 

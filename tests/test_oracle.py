@@ -1,17 +1,9 @@
 import numpy as np
 import pytest
 
-from shiftkrylov import (
-    DenseOracle,
-    SingularMatrixError,
-    SparseSymMatrix,
-    brute_force_wqmr,
-    build_elimination_weight,
-    dense_solve,
-    dense_tridiagonal,
-    run_diagnostic,
-    solve_all,
-)
+from shiftkrylov import DenseOracle, SingularMatrixError, SparseSymMatrix, dense_solve, solve_all
+from shiftkrylov.lanczos import run_diagnostic
+from shiftkrylov.oracle import brute_force_wqmr, build_elimination_weight, dense_tridiagonal
 
 from _reference import rand_complex_symmetric
 

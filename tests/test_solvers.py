@@ -5,23 +5,24 @@ from shiftkrylov import (
     BreakdownError,
     DenseOracle,
     FlopCounter,
-    LanczosStep,
     METHODS,
     SparseSymMatrix,
-    brute_force_wqmr,
-    cocg_galerkin_update,
-    estimate_residual_qmr,
-    estimate_residual_qmr_b,
     generate_hamiltonian_analog,
-    qmr_sym_b_update,
-    qmr_sym_omega_update,
-    qmr_sym_update,
-    run_diagnostic,
     solve_all,
     true_residual,
 )
 from shiftkrylov import solvers
-from shiftkrylov.solvers import ShiftBatch
+from shiftkrylov.lanczos import LanczosStep, run_diagnostic
+from shiftkrylov.oracle import brute_force_wqmr
+from shiftkrylov.solvers import (
+    ShiftBatch,
+    cocg_galerkin_update,
+    estimate_residual_qmr,
+    estimate_residual_qmr_b,
+    qmr_sym_b_update,
+    qmr_sym_omega_update,
+    qmr_sym_update,
+)
 
 from _reference import rand_complex_symmetric, rand_real_symmetric, reference_cg
 from test_acceptance import attainable_gap
@@ -765,6 +766,14 @@ class TestDriver:
             solve_all(A, b, [0.5], tol=0.0)
         with pytest.raises(ValueError, match="max_iter"):
             solve_all(A, b, [0.5], max_iter=0)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_non_finite_tol_is_rejected(self, tol):
+        # nan would run every shift to max_iter unconverged; inf would retire
+        # every shift as converged at x = 0
+        A = sparse_from(np.eye(2))
+        with pytest.raises(ValueError, match="tol must be finite"):
+            solve_all(A, np.ones(2), [0.5], tol=tol)
 
 
 class TestCostAccounting:

@@ -229,6 +229,7 @@ def main(argv=None) -> int:
             for idx, sigma in enumerate(report.shifts):
                 xs = oracle.solve(sigma, b)
                 oracle_distance[idx] = np.linalg.norm(solutions[idx] - xs) / np.linalg.norm(xs)
+        del solutions  # the next method's solve needs no second m x N array
         if args.out_prefix:
             skio.write_summary(report, f"{args.out_prefix}.{method}.summary.txt", oracle_distance)
             if args.history:

@@ -31,9 +31,12 @@ sweep over the coefficients expresses ``x`` and the carried directions in
 the window's basis vectors, and one GEMM per row block applies them (the
 deferred assembly of Frommer and Simoncini, "Matrix functions", *Model Order
 Reduction*, 2008). A shift that deflates or breaks down is assembled the
-same way at once, the others at the end; memory is ``O(mN + cN)``. ``cocg``
-checks a shift whose recurrence value meets the tolerance on its iterate,
-assembled without changing the batch. A callback, or a ``cocg`` history,
+same way at once, the others at the end, and ``X`` is put in shift order in
+place. The directions are zero until a window carries them, and are only
+made then, so memory is ``O(mN + cN + cm)`` with one ``m x N`` array when
+every shift deflates within a window. ``cocg`` checks, a block at a time, each
+shift whose recurrence value meets the tolerance on its iterate, assembled
+without changing the batch. A callback, or a ``cocg`` history,
 needs live iterates: a window of one step, the streaming update ``P = v -
 aP; X += dP`` in cache-sized row blocks. Every product rounds a shift's row
 independently of the rows computed with it (see the notes at the products),
@@ -96,8 +99,10 @@ class ShiftBatch:
     ``min(max(1, _WINDOW_ELEMS // N), _MAX_WINDOW, max_iter)``; between
     flushes ``X`` holds the iterates at the window's start. Rows ``:na`` are
     the active shifts, ``perm[r]`` is the shift in row ``r`` and ``row[l]``
-    the row of shift ``l``. ``bad`` marks the rows whose pivot vanished at
-    the last step (or is ``None``): they keep their previous step's state.
+    the row of shift ``l``. With a window of several steps ``P1``/``P2`` are
+    ``None`` (zero) until the first carrying flush, then have the ``na`` rows
+    of that moment. ``bad`` marks the rows whose pivot vanished at the last
+    step (or is ``None``): they keep their previous step's state.
     """
 
     def __init__(self, method, shifts, g1, v1, max_iter, stream=False, record_history=False):
@@ -112,9 +117,7 @@ class ShiftBatch:
         self.res = np.full(m, np.inf)
         self.niter = np.zeros(m, dtype=np.int64)
         self.X = np.zeros((m, n), dtype=np.complex128)
-        self.P1 = np.zeros_like(self.X)
         rotation = method in ("qmr-sym", "qmr-sym-omega")
-        self.P2 = np.zeros_like(self.X) if rotation else None
         omega1 = 1.0
         if method == "qmr-sym-omega":
             omega1 = float(np.linalg.norm(v1))
@@ -123,11 +126,11 @@ class ShiftBatch:
         # no w on a real basis: there v^T v = v^H v = 1 keeps ||w|| at one
         self.W = None if self.real or not rotation else np.tile(v1.astype(complex) / omega1, (m, 1))
         self.diag1 = np.zeros(m, dtype=np.complex128)
-        fields = ["sigma", "perm", "g", "res", "niter", "X", "P1", "diag1"]
+        fields = ["sigma", "perm", "g", "res", "niter", "X", "diag1"]
         if rotation:
             self.diag2, self.s1, self.s2 = (np.zeros(m, dtype=np.complex128) for _ in range(3))
             self.c1, self.c2 = np.zeros(m), np.zeros(m)
-            fields += ["P2", "diag2", "c1", "s1", "c2", "s2"]
+            fields += ["diag2", "c1", "s1", "c2", "s2"]
         else:
             self.f = np.zeros(m, dtype=np.complex128)
             fields.append("f")
@@ -137,6 +140,10 @@ class ShiftBatch:
         self.bad = None
         self.window = 1 if stream else min(max(1, _WINDOW_ELEMS // n), _MAX_WINDOW, max_iter)
         self.k = 0  # steps held in the window
+        # the directions are zero until a window carries them; a stream needs them at once
+        streamed = self.window == 1
+        self.P1 = np.zeros((m, n), dtype=np.complex128) if streamed else None
+        self.P2 = np.zeros((m, n), dtype=np.complex128) if streamed and rotation else None
         if self.window > 1:
             # columns padded to a multiple of 8: OpenBLAS's small dgemm
             # kernel otherwise rounds a row by its position among the rows
@@ -231,6 +238,10 @@ class ShiftBatch:
             Y[i] -= A[i + 1] * Y[i + 1]
             if B is not None and i + 2 <= k + 1:
                 Y[i] -= B[i + 2] * Y[i + 2]
+        carried = [P for P in (self.P1, self.P2) if P is not None]
+        if carry and not carried:  # zero directions add nothing; every row is written below
+            self.P1 = np.empty((h, self.n), dtype=np.complex128)
+            self.P2 = None if B is None else np.empty_like(self.P1)
         hb = max(1, _BLOCK_ELEMS // (targets * self.n))
         for lo in range(0, h, hb):
             hi = min(h, lo + hb)
@@ -243,7 +254,6 @@ class ShiftBatch:
             if len(C) == 1:  # a lone row would take the GEMV path and round differently
                 C = np.concatenate((C, np.zeros_like(C)))
             G = C @ self.Vw[:k]
-            carried = (self.P1[r],) if B is None else (self.P1[r], self.P2[r])
             new = []
             for t in range(targets):
                 if self.real:
@@ -253,7 +263,7 @@ class ShiftBatch:
                 else:
                     out = G[t * nb : (t + 1) * nb, : self.n]
                 for j, P in enumerate(carried):
-                    out += Y[1 - j, cols[t], None] * P
+                    out += Y[1 - j, cols[t], None] * P[r]
                 new.append(out)
             if into is not None:
                 into[lo:hi] += new[0]
@@ -285,9 +295,9 @@ class ShiftBatch:
         if len(dst):
             src = keep + np.flatnonzero(~done[keep:])
             a, b = np.concatenate((dst, src)), np.concatenate((src, dst))
-            for name in self._fields:
-                arr = getattr(self, name)
-                arr[a] = arr[b]
+            for arr in [getattr(self, name) for name in self._fields] + [self.P1, self.P2]:
+                if arr is not None:
+                    arr[a] = arr[b]
             if self.k:
                 for arr in (self.Dw, self.Aw, self.Bw):
                     if arr is not None:
@@ -298,11 +308,11 @@ class ShiftBatch:
         rows = keep + np.flatnonzero(~assembled[keep:]) if assembled.any() else slice(keep, na)
         self.flush(rows, carry=False)
 
-    def record(self, n, est, target, bnorm, ok=True, rows=None, X=None):
+    def record(self, n, est, target, bnorm, ok=True, assembled=None):
         """Store the step-``n`` residuals ``est`` of the active prefix (broken
         rows keep their previous value), then retire the broken rows and the
-        rows meeting ``target`` where ``ok``. A retired row of ``rows`` keeps
-        its iterate from ``X``, the assembled iterates of ``rows``."""
+        rows meeting ``target`` where ``ok``. The rows marked in ``assembled``
+        (which all retire now) already hold their iterates in ``X``."""
         na, bad = self.na, self.bad
         live = slice(None) if bad is None else ~bad
         res = self.res[:na]
@@ -311,17 +321,20 @@ class ShiftBatch:
         if self.history is not None:
             self.history.append((n, self.perm[:na][live].copy(), res[live] / bnorm))
         if done.any():
-            assembled = np.zeros(na, dtype=bool)
-            if X is not None:
-                assembled[rows] = done[rows]
-                self.X[rows[done[rows]]] = X[done[rows]]
             self.retire(done, assembled)
 
     def finish(self):
-        """Assemble the remaining rows and return the iterates in shift order."""
+        """Assemble the remaining rows and return ``X``, put in shift order in place."""
         self.flush(slice(0, self.na), carry=False)
         self.P1 = self.P2 = self.W = self.Vw = None
-        return self.X[self.row]
+        X, row = self.X, self.row.tolist()
+        for start in range(self.m):
+            if row[start] != start:  # one cycle of the permutation, a row in hand
+                ell, held = start, X[start].copy()
+                while row[ell] != start:  # row ell takes shift ell from row row[ell]
+                    X[ell], row[ell], ell = X[row[ell]], ell, row[ell]
+                X[ell], row[ell] = held, ell
+        return X
 
 
 def _abs(z: np.ndarray) -> np.ndarray:
@@ -630,6 +643,7 @@ def solve_all(
     batch = ShiftBatch(method, shifts.shifts, lstate.g1, lstate.v_curr, max_iter, stream,
                        record_history)
     target = tol * bnorm
+    rb = max(1, _BLOCK_ELEMS // A.n)  # iterates per explicit-residual block
     # the starting residual is b itself (x_0 = 0); shifts already inside the
     # tolerance never enter the update loop
     batch.res[:] = bnorm
@@ -649,13 +663,18 @@ def solve_all(
         update(batch, step, counter)
         est = (estimate_residual_qmr_b(batch, step.v_next) if method in ("cocg", "qmr-sym-b")
                else estimate_residual_qmr(batch))
-        ok, rows, X = True, None, None
-        if method == "cocg":  # explicit residuals: rows meeting the target by recurrence
-            ok = est <= target
+        ok, assembled = True, None
+        if method == "cocg":  # explicit residuals: rows meeting the target by recurrence,
+            ok = est <= target  # a block of iterates at a time, keeping those that pass
             rows = np.flatnonzero((ok | stream) & (True if batch.bad is None else ~batch.bad))
-            X = batch.iterates(rows)
-            est[rows] = _residual_norms(A, b_arr, batch.sigma[rows], X, counter)
-        batch.record(n, est, target, bnorm, ok, rows, X)
+            assembled = np.zeros(batch.na, dtype=bool)
+            for lo in range(0, len(rows), rb):
+                r = rows[lo : lo + rb]
+                X = batch.iterates(r)
+                est[r] = true_residual(A, batch.sigma[r], b_arr, X, counter=counter)
+                good = (est[r] <= target) & ok[r]
+                batch.X[r[good]], assembled[r[good]] = X[good], True
+        batch.record(n, est, target, bnorm, ok, assembled)
         if callback is not None:  # each shift's current row, in shift order
             callback(n, [SimpleNamespace(x=batch.X[r], sigma=complex(batch.sigma[r]),
                                          g=complex(batch.g[r]), res=float(batch.res[r]),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -929,3 +931,72 @@ class TestWindowEngine:
         assert np.array_equal(x[pick], xs[0])
         assert fam.history[pick] == solo.history[0]
         assert fam.final_rel_estimate[pick] == solo.final_rel_estimate[0]
+
+    # two shifts deflate at step 1, two at step 2 and one at step 3; the
+    # others run past several windows of 2 and 3 steps
+    EARLY = [1e12, 0.3 + 0.05j, 2e5 + 1j, 1e13j, 4e3, 0.9 + 0.05j, 3e5]
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_shifts_retired_before_the_first_carrying_flush(self, monkeypatch, method, real):
+        A, b = pivot_zero_banded(80, real)
+        x1, rep1 = self.solve(monkeypatch, 1, A, b, self.EARLY, method, tol=1e-11)
+        assert sorted(rep1.iters)[:5] == [1, 1, 2, 2, 3] and min(rep1.iters[[1, 5]]) > 6
+        for c in (2, 3):
+            x, rep = self.solve(monkeypatch, c, A, b, self.EARLY, method, tol=1e-11)
+            assert list(rep.iters) == list(rep1.iters) and rep.all_converged
+            if method != "cocg":  # scalar recurrences: the same bits under any window
+                assert np.array_equal(rep.final_rel_estimate, rep1.final_rel_estimate)
+            self.assert_close(x, x1)
+            # the directions are made at step c for the shifts active then; each
+            # shift's iterate has the bits of the shift solved alone
+            for ell, sigma in enumerate(self.EARLY):
+                xs, solo = self.solve(monkeypatch, c, A, b, [sigma], method, tol=1e-11)
+                assert solo.iters[0] == rep.iters[ell] and np.array_equal(xs[0], x[ell])
+                assert solo.final_rel_estimate[0] == rep.final_rel_estimate[ell]
+
+    @staticmethod
+    def desk_sweep(m):
+        """The README's desk-scale sweep: N = 512, every shift deflated by step 17."""
+        A = generate_hamiltonian_analog(512, 34, 42)
+        return A, e1(512), 0.4 + 0.001 * np.arange(m) + 0.001j
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_no_directions_when_every_shift_deflates_in_the_first_window(self, monkeypatch, method):
+        seen = []
+
+        class Watched(ShiftBatch):
+            def finish(self):
+                seen.append((self.window, self.P1, self.P2))
+                return super().finish()
+
+        monkeypatch.setattr(solvers, "ShiftBatch", Watched)
+        A, b, shifts = self.desk_sweep(40)
+        _, rep = solve_all(A, b, shifts, method=method, tol=1e-12)
+        (window, P1, P2), = seen
+        assert rep.all_converged and rep.iterations < window == 256
+        assert P1 is None and P2 is None
+        # a window of 4 steps carries the directions of the 40 shifts active at step 4
+        seen.clear()
+        _, rep4 = self.solve(monkeypatch, 4, A, b, shifts, method, tol=1e-12)
+        (window, P1, P2), = seen
+        assert window == 4 and list(rep4.iters) == list(rep.iters) and min(rep.iters) > 4
+        assert P1.shape == (40, 512)
+        assert (P2 is not None) == (method in ("qmr-sym", "qmr-sym-omega"))
+
+    def test_desk_sweep_peak_memory(self):
+        A, b, shifts = self.desk_sweep(1001)
+        m, n = len(shifts), A.n
+        probe = ShiftBatch("qmr-sym", shifts, 1.0, b, 2 * n)
+        window = sum(arr.nbytes for arr in (probe.Vw, probe.Dw, probe.Aw, probe.Bw))
+        del probe
+        tracemalloc.start()
+        try:
+            x, rep = solve_all(A, b, shifts, method="qmr-sym", tol=1e-12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.all_converged and x.shape == (m, n)
+        # the iterates, the window and the solve's smaller arrays: no directions,
+        # no copy of the iterates on return
+        assert peak <= m * n * 16 + window + 2 * 2**20

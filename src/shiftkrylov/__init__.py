@@ -3,13 +3,12 @@
 Solves whole families ``(A + sigma_l I) x = b`` from a single complex
 symmetric Lanczos run: a quasi-minimal-residual method driven by Givens
 rotations, a cheaper bidiagonal-weight variant, a basis-norm-weighted
-variant, and a Galerkin baseline, plus dense oracles, Matrix Market I/O and
+variant, and a Galerkin baseline, plus a dense oracle, Matrix Market I/O and
 a benchmark CLI.
 
-The names below are the public surface. Kernels, the Lanczos recurrence, the
-per-method updates and the projected-problem oracles are imported from their
-modules (``shiftkrylov.core``, ``shiftkrylov.lanczos``, ``shiftkrylov.solvers``,
-``shiftkrylov.oracle``).
+The names below are the public surface. Kernels, the Lanczos recurrence and
+the per-method updates are imported from their modules (``shiftkrylov.core``,
+``shiftkrylov.lanczos``, ``shiftkrylov.solvers``).
 """
 
 from . import cli, core, io, lanczos, oracle, solvers
@@ -25,7 +24,7 @@ from .io import (
     write_matrix_market,
     write_summary,
 )
-from .oracle import DenseOracle, SingularMatrixError, dense_solve
+from .oracle import DenseOracle, SingularMatrixError
 from .solvers import METHODS, SolveReport, solve_all, true_residual
 
 __version__ = "0.1.0"
@@ -41,7 +40,6 @@ __all__ = [
     "SolveReport",
     "SparseSymMatrix",
     "default_rhs",
-    "dense_solve",
     "generate_hamiltonian_analog",
     "main",
     "read_matrix_market",

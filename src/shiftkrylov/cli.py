@@ -164,45 +164,23 @@ def main(argv=None) -> int:
     process exit code; argparse itself exits 2 on a malformed command line."""
     args = build_parser().parse_args(argv)
     try:
-        generate = _parse_generate(args.generate) if args.generate is not None else None
-        if not np.isfinite(args.tol):
-            raise ValueError(f"tol must be finite, got {args.tol}")
-        if args.tol <= 0:
-            raise ValueError("tol must be positive")
-        if args.max_iter is not None and args.max_iter < 1:
-            raise ValueError("max-iter must be >= 1")
         if args.history and not args.out_prefix:
             raise ValueError("--history needs --out-prefix to write the CSV to")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        if generate is not None:
-            A = generate_hamiltonian_analog(*generate[:3], dominance=generate[3])
+        if args.generate is not None:
+            n, bandwidth, seed, dominance = _parse_generate(args.generate)
+            A = generate_hamiltonian_analog(n, bandwidth, seed, dominance=dominance)
         else:
             A = skio.read_matrix_market(args.matrix)
         shifts = skio.read_shifts(args.shifts)
         b = skio.read_rhs(args.rhs, A.n) if args.rhs else skio.default_rhs(A.n)
-    except skio.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
-    if args.check and A.n > DEFAULT_CAP:
-        print(f"error: --check is limited to n <= {DEFAULT_CAP}", file=sys.stderr)
-        return EXIT_USAGE
-
-    oracle = DenseOracle(A) if args.check else None
-    methods = list(METHODS) if args.method == "all" else [args.method]
-    reports = []
-    saw_breakdown = False
-    saw_unconverged = False
-    for method in methods:
-        counter = FlopCounter()
-        try:
+        reference = None
+        if args.check:  # one dense LU per shift, before any solve; only the solutions are kept
+            oracle = DenseOracle(A)
+            reference = np.array([oracle.solve(sigma, b) for sigma in shifts])
+        methods = list(METHODS) if args.method == "all" else [args.method]
+        reports = []
+        for method in methods:
             solutions, report = solve_all(
                 A,
                 b,
@@ -212,39 +190,31 @@ def main(argv=None) -> int:
                 max_iter=args.max_iter,
                 record_history=args.history,
                 true_residuals=args.check,
-                counter=counter,
+                counter=FlopCounter(),
             )
-        except BreakdownError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BREAKDOWN
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        reports.append(report)
-        print(_summary_line(report))
+            reports.append(report)
+            print(_summary_line(report))
 
-        oracle_distance = None
-        if oracle is not None:
-            oracle_distance = np.empty(report.m)
-            for idx, sigma in enumerate(report.shifts):
-                xs = oracle.solve(sigma, b)
-                oracle_distance[idx] = np.linalg.norm(solutions[idx] - xs) / np.linalg.norm(xs)
-        del solutions  # the next method's solve needs no second m x N array
-        if args.out_prefix:
-            skio.write_summary(report, f"{args.out_prefix}.{method}.summary.txt", oracle_distance)
-            if args.history:
-                skio.write_history_csv(report, f"{args.out_prefix}.{method}.history.csv")
+            oracle_distance = None
+            if reference is not None:
+                oracle_distance = np.array([np.linalg.norm(x - xs) / np.linalg.norm(xs)
+                                            for x, xs in zip(solutions, reference)])
+            del solutions  # the next method's solve needs no second m x N array
+            if args.out_prefix:
+                skio.write_summary(report, f"{args.out_prefix}.{method}.summary.txt",
+                                   oracle_distance)
+                if args.history:
+                    skio.write_history_csv(report, f"{args.out_prefix}.{method}.history.csv")
 
-        saw_breakdown = saw_breakdown or report.any_breakdown
-        saw_unconverged = saw_unconverged or not report.all_converged
-
-    if args.method == "all" and args.out_prefix:
-        _write_compare(f"{args.out_prefix}.compare.txt", reports)
-    if saw_breakdown:
+        if args.method == "all" and args.out_prefix:
+            _write_compare(f"{args.out_prefix}.compare.txt", reports)
+    except (OSError, ValueError, BreakdownError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, skio.ParseError):
+            return EXIT_PARSE
+        return EXIT_BREAKDOWN if isinstance(exc, BreakdownError) else EXIT_USAGE
+    if any(r.any_breakdown for r in reports):
         return EXIT_BREAKDOWN
-    if saw_unconverged:
+    if not all(r.all_converged for r in reports):
         return EXIT_UNCONVERGED
     return EXIT_OK
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -225,22 +225,6 @@ class SparseSymMatrix:
         out[rows, self.indices] = self.data
         return out
 
-    def shifted(self, sigma) -> "SparseSymMatrix":
-        """Return ``A + sigma*I`` as a new matrix (diagonal entries are added
-        to the pattern where missing)."""
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
-        cols = self.indices.copy()
-        diag = rows == cols
-        dtype = np.result_type(self.data.dtype, type(sigma))
-        values = self.data.astype(dtype)
-        values[diag] = values[diag] + sigma
-        missing = np.setdiff1d(np.arange(self.n, dtype=np.int64), rows[diag])
-        if len(missing):
-            rows = np.concatenate([rows, missing])
-            cols = np.concatenate([cols, missing])
-            values = np.concatenate([values, np.full(len(missing), sigma, dtype=dtype)])
-        return SparseSymMatrix.from_coo(self.n, rows, cols, values)
-
     def __repr__(self):
         kind = "real" if self.is_real else "complex"
         return f"SparseSymMatrix(n={self.n}, nnz={self.nnz}, {kind})"
@@ -330,7 +314,7 @@ class FlopCounter:
       elimination recurrences on the projected problem.
 
     Lanczos vector updates and norm computations are not counted. Counts are
-    monotone non-decreasing during a solve; ``reset`` is explicit.
+    monotone non-decreasing during a solve.
     """
 
     matvec_real: int = 0
@@ -358,9 +342,3 @@ class FlopCounter:
         return FlopCounter(
             self.matvec_real, self.matvec_complex, self.shift_update, self.least_squares
         )
-
-    def reset(self):
-        self.matvec_real = 0
-        self.matvec_complex = 0
-        self.shift_update = 0
-        self.least_squares = 0

@@ -7,8 +7,7 @@ generated once and shared.
 
 The recurrence orthogonalizes under the bilinear product ``u^T v`` and
 normalizes each vector to ``v^T v = 1`` (not unit 2-norm). Only the two most
-recent vectors are retained in solver mode; :func:`run_diagnostic` keeps the
-whole basis for verification work.
+recent vectors are retained.
 
 Termination and breakdown are distinguished by two relative thresholds:
 ``||v~|| <= TERMINATION_TOL * ||b||`` signals an invariant subspace (lucky
@@ -28,12 +27,10 @@ from .core import BreakdownError, FlopCounter, SparseSymMatrix, bilinear_dot, pr
 __all__ = [
     "BREAKDOWN_TOL",
     "TERMINATION_TOL",
-    "LanczosRecord",
     "LanczosState",
     "LanczosStep",
     "lanczos_init",
     "lanczos_step",
-    "run_diagnostic",
 ]
 
 # Relative degeneracy thresholds, both at machine-epsilon scale.
@@ -151,48 +148,3 @@ def lanczos_step(
     state.beta_prev = beta
     state.n = n
     return step
-
-
-@dataclass
-class LanczosRecord:
-    """Full transcript of a diagnostic run: every coefficient and basis
-    vector, for factorization and orthogonality checks at desk scale."""
-
-    alphas: np.ndarray
-    betas: np.ndarray
-    vectors: np.ndarray  # shape (N, k+1): v_1 .. v_{k+1}
-    g1: complex
-    bnorm2: float
-    lucky_step: int | None = None
-
-    @property
-    def steps(self) -> int:
-        return len(self.alphas)
-
-
-def run_diagnostic(A: SparseSymMatrix, b, steps: int) -> LanczosRecord:
-    """Run up to ``steps`` Lanczos steps keeping the whole basis.
-
-    Stops early on lucky termination. Intended for verification only; memory
-    grows as ``N * steps``.
-    """
-    state = lanczos_init(A, b)
-    vectors = [state.v_curr]
-    alphas, betas = [], []
-    lucky_step = None
-    for _ in range(steps):
-        step = lanczos_step(state, A)
-        alphas.append(step.alpha)
-        betas.append(step.beta)
-        vectors.append(step.v_next)
-        if step.lucky:
-            lucky_step = step.n
-            break
-    return LanczosRecord(
-        alphas=np.asarray(alphas),
-        betas=np.asarray(betas),
-        vectors=np.column_stack(vectors),
-        g1=state.g1,
-        bnorm2=state.bnorm2,
-        lucky_step=lucky_step,
-    )

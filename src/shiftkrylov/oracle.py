@@ -1,4 +1,4 @@
-"""Ground-truth engines for desk-scale verification.
+"""Ground-truth dense solves for desk-scale verification.
 
 Everything here goes through dense arithmetic and explicit matrices --
 deliberately disjoint code paths from the sparse iterative kernels, so that
@@ -17,14 +17,7 @@ from scipy.linalg import LinAlgWarning
 
 from .core import SparseSymMatrix
 
-__all__ = [
-    "DenseOracle",
-    "SingularMatrixError",
-    "brute_force_wqmr",
-    "build_elimination_weight",
-    "dense_solve",
-    "dense_tridiagonal",
-]
+__all__ = ["DenseOracle", "SingularMatrixError"]
 
 DEFAULT_CAP = 512
 
@@ -59,29 +52,13 @@ def _checked_lu(shifted: np.ndarray, sigma):
     return lu, piv
 
 
-def dense_solve(A, sigma, b) -> np.ndarray:
-    """Solve ``(A + sigma I) x = b`` by dense LU with partial pivoting.
-
-    Raises :class:`SingularMatrixError` reporting the smallest pivot
-    magnitude when the factorization is singular to working precision.
-    """
-    M = _as_dense(A)
-    b = np.asarray(b)
-    if b.shape != (M.shape[0],):
-        raise ValueError("rhs length does not match matrix dimension")
-    n = M.shape[0]
-    shifted = M.astype(np.result_type(M.dtype, type(sigma), b.dtype, np.float64), copy=True)
-    shifted[np.diag_indices(n)] += sigma
-    lu, piv = _checked_lu(shifted, sigma)
-    return scipy.linalg.lu_solve((lu, piv), b.astype(shifted.dtype), check_finite=False)
-
-
 class DenseOracle:
     """Dense factorization backend for ground-truth shifted solves.
 
-    Keeps a dense copy of the matrix and caches one LU factorization per
-    shift. Construction is refused above ``cap`` -- oracles are for
-    verification, not production.
+    Keeps a dense copy of the matrix; each :meth:`solve` factorizes its
+    shifted matrix afresh and keeps no factorization, so memory does not grow
+    with the number of shifts solved. Construction is refused above ``cap``
+    -- oracles are for verification, not production.
     """
 
     def __init__(self, A, cap: int = DEFAULT_CAP):
@@ -90,100 +67,15 @@ class DenseOracle:
             raise ValueError(f"oracle cap is {cap}, got dimension {M.shape[0]}")
         self.dense = M.copy()
         self.n = M.shape[0]
-        self._cache = {}
 
     def solve(self, sigma, b) -> np.ndarray:
+        """Solve ``(A + sigma I) x = b`` by dense LU with partial pivoting.
+
+        Raises :class:`SingularMatrixError` reporting the smallest pivot
+        magnitude when the factorization is singular to working precision.
+        """
         sigma = complex(sigma)
-        key = (sigma.real, sigma.imag)
-        if key not in self._cache:
-            n = self.n
-            shifted = self.dense.astype(
-                np.result_type(self.dense.dtype, np.complex128), copy=True
-            )
-            shifted[np.diag_indices(n)] += sigma
-            self._cache[key] = _checked_lu(shifted, sigma)
-        lu, piv = self._cache[key]
+        shifted = self.dense.astype(np.result_type(self.dense.dtype, np.complex128), copy=True)
+        shifted[np.diag_indices(self.n)] += sigma
+        lu, piv = _checked_lu(shifted, sigma)
         return scipy.linalg.lu_solve((lu, piv), np.asarray(b).astype(lu.dtype), check_finite=False)
-
-    def residual(self, sigma, b, x) -> float:
-        """Dense-path residual norm ``||b - (A + sigma I) x||``."""
-        b = np.asarray(b)
-        x = np.asarray(x)
-        return float(np.linalg.norm(b - self.dense @ x - sigma * x))
-
-
-def dense_tridiagonal(alphas, betas, sigma=0.0, rectangular: bool = True) -> np.ndarray:
-    """Materialize the shifted projected matrix ``T_{n+1,n} + sigma [I; 0]``
-    (or the square ``T_n + sigma I``) from Lanczos coefficients.
-
-    ``alphas`` has length ``n``; ``betas`` holds ``beta_1 .. beta_n`` where
-    the last entry is the subdiagonal of the extra row.
-    """
-    alphas = np.asarray(alphas)
-    betas = np.asarray(betas)
-    n = len(alphas)
-    if len(betas) != n:
-        raise ValueError("need one beta per step (the last one is the trailing subdiagonal)")
-    dtype = np.result_type(alphas.dtype, betas.dtype, type(sigma), np.float64)
-    rows = n + 1 if rectangular else n
-    T = np.zeros((rows, n), dtype=dtype)
-    for k in range(n):
-        T[k, k] = alphas[k] + sigma
-        if k + 1 < n:
-            T[k, k + 1] = betas[k]
-        if k + 1 < rows:
-            T[k + 1, k] = betas[k]
-    return T
-
-
-def brute_force_wqmr(alphas, betas, sigma, g1, W=None) -> np.ndarray:
-    """Solve the projected weighted least-squares problem explicitly.
-
-    Materializes ``T = T_{n+1,n} + sigma [I; 0]`` and returns the ``y``
-    minimizing ``|| W (g1 e1 - T y) ||_2`` via dense QR (``W = I`` when
-    omitted). This is the step-by-step oracle for all recurrence-based
-    solvers: identity weight checks the rotation method, the basis-norm
-    diagonal checks the omega variant, and the elimination weight checks the
-    bidiagonal method.
-    """
-    T = dense_tridiagonal(alphas, betas, sigma)
-    n1, n = T.shape
-    rhs = np.zeros(n1, dtype=np.result_type(T.dtype, type(g1)))
-    rhs[0] = g1
-    if W is not None:
-        W = np.asarray(W)
-        if W.shape != (n1, n1):
-            raise ValueError(f"weight must be {n1}x{n1}")
-        T = W @ T
-        rhs = W @ rhs
-    y, _, rank, _ = np.linalg.lstsq(T, rhs, rcond=None)
-    if rank < n:
-        raise ValueError(f"projected system is rank deficient (rank {rank} < {n})")
-    return y
-
-
-def build_elimination_weight(alphas, betas, sigma):
-    """Accumulate the unit-lower-triangular eliminator that maps the shifted
-    tridiagonal to upper bidiagonal form.
-
-    Applies one elementary factor per column (``f_i`` chosen to zero the
-    subdiagonal entry, which is then set to an exact zero) and accumulates
-    the factors into ``L``. Returns ``(L, B)`` where ``B = L @ T`` is the
-    ``(n+1) x n`` eliminated matrix: upper bidiagonal on top of an exactly
-    zero last row.
-    """
-    T = dense_tridiagonal(alphas, betas, sigma)
-    n1, n = T.shape
-    B = T.astype(np.complex128, copy=True)
-    L = np.eye(n1, dtype=np.complex128)
-    for i in range(n):
-        pivot = B[i, i]
-        if pivot == 0:
-            raise ValueError(f"zero pivot in column {i}")
-        f = -B[i + 1, i] / pivot
-        F = np.eye(n1, dtype=np.complex128)
-        F[i + 1, i] = f
-        B = F @ B
-        B[i + 1, i] = 0.0
-        L = F @ L
-    return L, B

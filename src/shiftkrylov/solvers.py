@@ -106,8 +106,6 @@ class ShiftBatch:
     """
 
     def __init__(self, method, shifts, g1, v1, max_iter, stream=False, record_history=False):
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
         self.sigma = np.array(shifts, dtype=np.complex128).ravel()
         m, n = len(self.sigma), len(v1)
         self.m, self.n, self.na = m, n, m
@@ -413,10 +411,13 @@ def qmr_sym_omega_update(batch: ShiftBatch, step: LanczosStep, counter: FlopCoun
     return batch
 
 
-def _elimination_update(batch: ShiftBatch, step: LanczosStep, counter):
-    """Shared two-term recurrence of the bidiagonal-weight and Galerkin
-    methods. A shift breaks down on an exactly zero pivot, which happens
-    precisely when its shifted leading tridiagonal block is singular."""
+def qmr_sym_b_update(batch: ShiftBatch, step: LanczosStep, counter: FlopCounter | None = None):
+    """One bidiagonal-weight step for every active shift: eliminate the
+    subdiagonal with a single scalar ``f_n = -t_{n+1,n} / t_{n,n}``,
+    propagate ``g~_{n+1} = f_n g~_n`` and advance the two-term
+    direction/solution recurrences. A shift breaks down on an exactly zero
+    pivot, which happens precisely when its shifted leading tridiagonal block
+    is singular."""
     na, n = batch.na, step.n
     t_nm1 = complex(step.beta_prev)
     t_n = complex(step.alpha) + batch.sigma[:na]
@@ -429,25 +430,15 @@ def _elimination_update(batch: ShiftBatch, step: LanczosStep, counter):
     a = t_nm1 / batch.diag1[:na] if n > 1 else np.zeros(na, dtype=np.complex128)
     batch.f[:na], batch.diag1[:na] = f, t_n
     batch._advance(step, f * g, d, a, None, 4 * batch.n + 2, _LSQ_OPS_ELIMINATION, counter)
-
-
-def qmr_sym_b_update(batch: ShiftBatch, step: LanczosStep, counter: FlopCounter | None = None):
-    """One bidiagonal-weight step for every active shift: eliminate the
-    subdiagonal with a single scalar ``f_n = -t_{n+1,n} / t_{n,n}``,
-    propagate ``g~_{n+1} = f_n g~_n`` and advance the two-term
-    direction/solution recurrences."""
-    _elimination_update(batch, step, counter)
     return batch
 
 
-def cocg_galerkin_update(batch: ShiftBatch, step: LanczosStep, counter: FlopCounter | None = None):
-    """One Galerkin-baseline step for every active shift. The iterate solves
-    ``(T_n + sigma I_n) y = g_1 e_1`` and so equals the shifted
-    conjugate-orthogonal-CG iterate; the recurrences are those of
-    :func:`qmr_sym_b_update`, and :func:`solve_all` checks this method's
-    residuals explicitly before it deflates a shift."""
-    _elimination_update(batch, step, counter)
-    return batch
+# The Galerkin baseline's step: its iterate solves ``(T_n + sigma I_n) y =
+# g_1 e_1`` and so equals the shifted conjugate-orthogonal-CG iterate, which
+# the recurrences of qmr_sym_b_update produce; solve_all checks this method's
+# residuals explicitly before it deflates a shift. A name of its own, so that
+# a wrapper of one method's update leaves the other's alone.
+cocg_galerkin_update = qmr_sym_b_update
 
 
 def estimate_residual_qmr(batch: ShiftBatch) -> np.ndarray:

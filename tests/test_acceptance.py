@@ -36,10 +36,9 @@ from shiftkrylov import (
     true_residual,
     write_matrix_market,
 )
-from shiftkrylov.lanczos import run_diagnostic
 from shiftkrylov.cli import generate_hamiltonian_analog, main as cli_main
 
-from _reference import rand_complex_symmetric, rand_real_symmetric
+from _reference import rand_complex_symmetric, rand_real_symmetric, run_diagnostic
 
 TRIO = ("cocg", "qmr-sym", "qmr-sym-b")
 UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +221,38 @@ class TestRun:
         with pytest.raises(SystemExit) as exc:
             main(["--generate", "8,2,1"])
         assert exc.value.code == 2
+
+    def test_unwritable_out_prefix_is_usage_error(self, tmp_path, capsys):
+        shifts = write_shift_file(tmp_path / "s.txt")
+        prefix = str(tmp_path / "missing" / "out")
+        code = main(["--generate", "16,3,1", "--shifts", shifts, "--out-prefix", prefix])
+        assert code == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+
+    def test_singular_check_is_usage_error(self, tmp_path, capsys):
+        mtx = tmp_path / "diag.mtx"
+        write_matrix_market(SparseSymMatrix.from_dense(np.diag([1.0, 2.0, 3.0])), mtx)
+        shifts = write_shift_file(tmp_path / "s.txt", "-1 0\n0.5 0\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(["--matrix", str(mtx), "--shifts", shifts, "--check",
+                     "--out-prefix", str(out / "run")])
+        assert code == EXIT_USAGE
+        assert "singular to working precision" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_check_memory_does_not_grow_with_factorizations(self, tmp_path):
+        # one 4 MiB dense LU at a time: a factorization kept for each of the
+        # 20 shifts would pass the bound on its own
+        shifts = write_shift_file(tmp_path / "s.txt", "range 0.4 0.001 0.001 20\n")
+        tracemalloc.start()
+        try:
+            code = main(["--generate", "512,34,42", "--shifts", shifts, "--check"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < 40 * 2**20, f"{peak / 2**20:.1f} MiB"
 
     def test_huge_shift_does_not_overflow(self, tmp_path):
         # |sigma|^2 overflows float64; every method must still finish cleanly

@@ -14,8 +14,7 @@ from shiftkrylov import (
     true_residual,
 )
 from shiftkrylov import solvers
-from shiftkrylov.lanczos import LanczosStep, run_diagnostic
-from shiftkrylov.oracle import brute_force_wqmr
+from shiftkrylov.lanczos import LanczosStep
 from shiftkrylov.solvers import (
     ShiftBatch,
     cocg_galerkin_update,
@@ -26,7 +25,13 @@ from shiftkrylov.solvers import (
     qmr_sym_update,
 )
 
-from _reference import rand_complex_symmetric, rand_real_symmetric, reference_cg
+from _reference import (
+    brute_force_wqmr,
+    rand_complex_symmetric,
+    rand_real_symmetric,
+    reference_cg,
+    run_diagnostic,
+)
 from test_acceptance import attainable_gap
 
 EPS = np.finfo(np.float64).eps

@@ -20,6 +20,7 @@ import scipy.sparse
 
 __all__ = [
     "BreakdownError",
+    "EntryError",
     "FlopCounter",
     "ShiftSet",
     "SparseSymMatrix",
@@ -42,6 +43,16 @@ class BreakdownError(RuntimeError):
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
+
+
+class EntryError(ValueError):
+    """An entry that breaks the symmetric pattern: a duplicate, or one whose
+    mirror is missing or differs. ``row`` and ``col`` are its 0-based
+    position."""
+
+    def __init__(self, row, col, what: str):
+        self.row, self.col = int(row), int(col)
+        super().__init__(f"{what} ({self.row},{self.col})")
 
 
 def principal_sqrt(z):
@@ -106,7 +117,9 @@ class SparseSymMatrix:
 
     The stored pattern covers the full symmetric structure, so one CSR
     product computes a matvec. Symmetry means ``A^T = A`` (no conjugation);
-    the constructor verifies it exactly, entry for entry. Values are kept as
+    the constructor verifies it exactly, entry for entry, and raises
+    :class:`EntryError` at the first duplicate entry, or else the first entry
+    whose mirror is missing or differs, in row-major order. Values are kept as
     float64 when every imaginary part is exactly zero (``is_real``), complex128
     otherwise, so real problems automatically run on the real fast path.
 
@@ -143,16 +156,12 @@ class SparseSymMatrix:
         if len(nonfinite):
             k = int(nonfinite[0])
             raise ValueError(f"non-finite entry {data[k]} at ({rows[k]},{indices[k]})")
-        if len(indices) > 1:
-            within_row = rows[1:] == rows[:-1]
-            bad = within_row & (np.diff(indices) <= 0)
-            if bad.any():
-                k = int(np.nonzero(bad)[0][0])
-                if indices[k + 1] == indices[k]:
-                    raise ValueError(f"duplicate entry ({rows[k]},{indices[k]})")
-                raise ValueError(
-                    f"row {rows[k]}: column indices not strictly increasing (unsorted)"
-                )
+        bad = (rows[1:] == rows[:-1]) & (np.diff(indices) <= 0)
+        if bad.any():
+            k = int(np.argmax(bad))
+            if indices[k + 1] == indices[k]:
+                raise EntryError(rows[k], indices[k], "duplicate entry")
+            raise ValueError(f"row {rows[k]}: column indices not strictly increasing (unsorted)")
         self.n = n
         self.indptr = indptr
         self.indices = indices
@@ -162,16 +171,16 @@ class SparseSymMatrix:
         self._check_symmetry(rows)
 
     def _check_symmetry(self, rows: np.ndarray):
-        cols = self.indices
-        # sort the transposed triplets into row-major order and compare
-        order = np.lexsort((rows, cols))
-        if not (np.array_equal(cols[order], rows) and np.array_equal(rows[order], cols)):
-            raise ValueError("pattern is not structurally symmetric")
-        if not np.array_equal(self.data[order], self.data):
-            i = int(np.nonzero(self.data[order] != self.data)[0][0])
-            raise ValueError(
-                f"matrix is not numerically symmetric at entry ({rows[i]},{cols[i]})"
-            )
+        cols, data = self.indices, self.data
+        # rows are sorted, so this is the transposed row-major order: entry
+        # order[k] must be the mirror of entry k, with the same value
+        order = np.argsort(cols, kind="stable")
+        if ((cols[order] != rows) | (rows[order] != cols) | (data[order] != data)).any():
+            # name the first entry whose mirror, found by its row-major key, is missing or differs
+            at = np.searchsorted(rows * self.n + cols, cols * self.n + rows).clip(max=len(cols) - 1)
+            bad = (rows[at] != cols) | (cols[at] != rows) | (data[at] != data)
+            i = int(np.argmax(bad))
+            raise EntryError(rows[i], cols[i], "not symmetric at entry")
 
     @classmethod
     def from_coo(cls, n: int, rows, cols, values) -> "SparseSymMatrix":

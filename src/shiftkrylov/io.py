@@ -17,9 +17,10 @@ Formats
   deterministic bytes for identical reports.
 
 Readers reject malformed input rather than repairing it, and every parse
-error carries the file path and line number. Blank lines and ``#`` comment
-lines are allowed in shift and rhs files; Matrix Market comments use ``%``
-after the header as usual.
+error carries the file path and line number (a matrix's duplicates and
+asymmetric entries are found by :class:`SparseSymMatrix` and mapped back to
+their lines). Blank lines and ``#`` comment lines are allowed in shift and
+rhs files; Matrix Market comments use ``%`` after the header as usual.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ import warnings
 
 import numpy as np
 
-from .core import ShiftSet, SparseSymMatrix
-from .solvers import SolveReport
+from .core import EntryError, ShiftSet, SparseSymMatrix
 
 __all__ = [
     "ParseError",
@@ -62,8 +62,11 @@ def read_matrix_market(path) -> SparseSymMatrix:
 
     ``symmetric`` files must store only the lower triangle (``i >= j``); the
     strict upper part is mirrored in. ``general`` files must contain the full
-    pattern and are verified to be exactly symmetric, entry for entry.
-    Indices are 1-based in the file and converted internally.
+    pattern and be exactly symmetric, entry for entry. Indices are 1-based in
+    the file and converted internally. A non-finite value is reported at its
+    first line; a duplicate or asymmetric entry, found by
+    :class:`SparseSymMatrix`, at the line of the entry (or of the lower entry
+    it mirrors), for a duplicate its second occurrence.
     """
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
@@ -118,45 +121,19 @@ def read_matrix_market(path) -> SparseSymMatrix:
     if len(nonfinite):
         raise ParseError(path, int(entry_line[nonfinite[0]]), "non-finite value")
 
-    order = np.lexsort((cols, rows))
-    srows, scols = rows[order], cols[order]
-    if nnz > 1:
-        dup = (np.diff(srows) == 0) & (np.diff(scols) == 0)
-        if dup.any():
-            k = int(np.nonzero(dup)[0][0]) + 1
-            raise ParseError(
-                path,
-                int(entry_line[order[k]]),
-                f"duplicate entry ({srows[k] + 1},{scols[k] + 1})",
-            )
-
-    if symmetry == "symmetric":
+    full = (rows, cols, vals)
+    if symmetry == "symmetric":  # mirror the strict lower triangle in
         off = rows != cols
-        rows, cols, vals = (
-            np.concatenate([rows, cols[off]]),
-            np.concatenate([cols, rows[off]]),
-            np.concatenate([vals, vals[off]]),
-        )
-    else:
-        # full pattern declared: verify exact symmetry before accepting.
-        # Sorting the transposed triplets row-major must reproduce the
-        # original sorted triplets bit for bit.
-        svals = vals[order]
-        torder = np.lexsort((srows, scols))
-        mism = ~(
-            (scols[torder] == srows) & (srows[torder] == scols) & (svals[torder] == svals)
-        )
-        if mism.any():
-            k = int(np.nonzero(mism)[0][0])
-            raise ParseError(
-                path,
-                int(entry_line[order[k]]),
-                f"general file is not symmetric at entry ({srows[k] + 1},{scols[k] + 1})",
-            )
+        full = [np.concatenate([a, b[off]]) for a, b in ((rows, cols), (cols, rows), (vals, vals))]
     try:
-        return SparseSymMatrix.from_coo(nrows, rows, cols, vals)
-    except ValueError as exc:
-        raise ParseError(path, 1, str(exc)) from None
+        return SparseSymMatrix.from_coo(nrows, *full)
+    except EntryError as exc:  # the file's entry, or the lower one it mirrors
+        held = np.flatnonzero((rows == exc.row) & (cols == exc.col))
+        if not len(held):
+            held = np.flatnonzero((rows == exc.col) & (cols == exc.row))
+        k = held[min(1, len(held) - 1)]  # a duplicate's second occurrence
+        what = "duplicate entry" if len(held) > 1 else "general file is not symmetric at entry"
+        raise ParseError(path, int(entry_line[k]), f"{what} ({rows[k] + 1},{cols[k] + 1})") from None
 
 
 def _bulk_entries(lines, lineno, nnz, ntok, n, symmetric):
@@ -326,8 +303,8 @@ def read_rhs(path, n: int) -> np.ndarray:
     return arr
 
 
-def write_history_csv(report: SolveReport, path) -> None:
-    """Write the per-iteration residual-estimate history.
+def write_history_csv(report, path) -> None:
+    """Write the per-iteration residual-estimate history of a ``SolveReport``.
 
     One row per (iteration, active shift), iteration-major and shift-minor;
     a deflated shift emits no rows after its convergence iteration. Requires
@@ -335,26 +312,19 @@ def write_history_csv(report: SolveReport, path) -> None:
     """
     if report.history is None:
         raise ValueError("report has no history (solve with record_history=True)")
-    # invert per-shift histories into iteration-major order
-    by_iter = {}
-    for idx, hist in enumerate(report.history):
-        for it, rel in hist:
-            by_iter.setdefault(it, []).append((idx, rel))
+    rows = sorted((it, idx, rel) for idx, hist in enumerate(report.history) for it, rel in hist)
     with open(path, "w") as fh:
         fh.write("iter,shift_index,sigma_re,sigma_im,rel_residual_estimate\n")
-        for it in sorted(by_iter):
-            for idx, rel in sorted(by_iter[it]):
-                sigma = report.shifts[idx]
-                fh.write(
-                    f"{it},{idx + 1},{_fmt(sigma.real)},{_fmt(sigma.imag)},{_fmt(rel)}\n"
-                )
+        for it, idx, rel in rows:
+            sigma = report.shifts[idx]
+            fh.write(f"{it},{idx + 1},{_fmt(sigma.real)},{_fmt(sigma.imag)},{_fmt(rel)}\n")
 
 
 _SUMMARY_COLS = "index sigma_re sigma_im iterations rel_estimate rel_true status"
 
 
-def write_summary(report: SolveReport, path, oracle_distance=None) -> None:
-    """Write the per-shift summary table: one data row per shift.
+def write_summary(report, path, oracle_distance=None) -> None:
+    """Write the per-shift summary table of a ``SolveReport``: one row per shift.
 
     Columns: shift index, shift, iteration count, final relative residual
     estimate, final relative true residual (``-`` when not computed) and

@@ -134,7 +134,7 @@ class ShiftBatch:
             fields.append("f")
         self._fields = fields + (["W"] if self.W is not None else [])
         self.status, self.failure = ["unconverged"] * m, [None] * m
-        self.history = [] if record_history else None
+        self.history = [[] for _ in range(m)] if record_history else None
         self.bad = None
         self.window = 1 if stream else min(max(1, _WINDOW_ELEMS // n), _MAX_WINDOW, max_iter)
         self.k = 0  # steps held in the window
@@ -316,8 +316,9 @@ class ShiftBatch:
         res = self.res[:na]
         res[live] = est[live]
         done = (res <= target) & ok if bad is None else bad | (res <= target) & ok
-        if self.history is not None:
-            self.history.append((n, self.perm[:na][live].copy(), res[live] / bnorm))
+        if self.history is not None:  # one (n, relative residual) pair per live shift
+            for ell, rel in zip(self.perm[:na][live].tolist(), (res[live] / bnorm).tolist()):
+                self.history[ell].append((n, rel))
         if done.any():
             self.retire(done, assembled)
 
@@ -465,14 +466,15 @@ def true_residual(A: SparseSymMatrix, sigma, b, x, counter: FlopCounter | None =
     """Explicit residual norm ``||b - (A + sigma I) x||_2``.
 
     For one shift, ``sigma`` is a scalar, ``x`` has shape ``(N,)`` and the
-    norm is returned as a ``float``. For a block, ``sigma`` has shape
-    ``(k,)`` and ``x`` shape ``(k, N)``, one iterate per row; the ``k`` norms
-    come back as an array from one sparse product ``A X^T`` over the whole
-    block (no copy is needed when ``x`` is the transpose of a C-contiguous
-    ``(N, k)`` array). It runs through the same kernel as :func:`spmv`, so
-    each column of ``A X^T`` is bitwise ``spmv(A, x_l)``. Each norm is taken
-    over its own contiguous row, so a shift's value does not depend on which
-    other rows share its block. Each row is charged as one matvec.
+    norm is returned as a ``float``. For any number ``k`` of shifts, ``sigma``
+    has shape ``(k,)`` and ``x`` shape ``(k, N)``, one iterate per row, and
+    the ``k`` norms come back as an array. One sparse product ``A X^T`` is run
+    per block of ``max(1, _BLOCK_ELEMS // N)`` rows, so the temporaries stay
+    block-sized whatever ``k`` is. It runs through the same kernel as
+    :func:`spmv`, so each column of ``A X^T`` is bitwise ``spmv(A, x_l)``.
+    Each norm is taken over its own contiguous row, so a shift's value does
+    not depend on which other rows share its block. Each row is charged as
+    one matvec.
     """
     b = np.asarray(b)
     x = np.asarray(x)
@@ -480,19 +482,22 @@ def true_residual(A: SparseSymMatrix, sigma, b, x, counter: FlopCounter | None =
     sigmas = np.atleast_1d(np.asarray(sigma))
     if b.shape != (A.n,) or X.ndim != 2 or X.shape[1] != A.n or sigmas.shape != (len(X),):
         raise ValueError("dimension mismatch")
-    XT = np.ascontiguousarray(X.T, dtype=np.result_type(X, np.float64))
-    RT = _csr_product(A, XT)
-    # R^T = (b - A X^T) - X^T diag(sigma), formed in the product's buffer
-    # when the dtypes allow; every entry is rounded as in b - A x - sigma x
-    dtype = np.result_type(RT, b, sigmas, XT)
-    RT = np.subtract(b[:, None], RT, out=RT if RT.dtype == dtype else None, dtype=dtype)
-    RT -= XT * sigmas
+    rb = max(1, _BLOCK_ELEMS // A.n)
+    norms = np.empty(len(X))
+    for lo in range(0, len(X), rb):
+        XT = np.ascontiguousarray(X[lo : lo + rb].T, dtype=np.result_type(X, np.float64))
+        RT = _csr_product(A, XT)
+        # R^T = (b - A X^T) - X^T diag(sigma), formed in the product's buffer
+        # when the dtypes allow; every entry is rounded as in b - A x - sigma x
+        dtype = np.result_type(RT, b, sigmas, XT)
+        RT = np.subtract(b[:, None], RT, out=RT if RT.dtype == dtype else None, dtype=dtype)
+        RT -= XT * sigmas[lo : lo + rb]
+        R = np.ascontiguousarray(RT.T)
+        if R.dtype.kind == "c":
+            R = R.view(np.float64)
+        norms[lo : lo + rb] = np.sqrt(np.einsum("ij,ij->i", R, R))
     if counter is not None:
         counter.add_matvec(len(X) * A.nnz, real=A.is_real and X.dtype.kind != "c")
-    R = np.ascontiguousarray(RT.T)
-    if R.dtype.kind == "c":
-        R = R.view(np.float64)
-    norms = np.sqrt(np.einsum("ij,ij->i", R, R))
     return float(norms[0]) if x.ndim == 1 else norms
 
 
@@ -533,16 +538,6 @@ class SolveReport:
     @property
     def any_breakdown(self) -> bool:
         return any(s == "breakdown" for s in self.status)
-
-
-def _residual_norms(A: SparseSymMatrix, b: np.ndarray, sigma, X, counter) -> np.ndarray:
-    """Explicit residual norms of the rows of ``X``, through one
-    :func:`true_residual` block per ``max(1, _BLOCK_ELEMS // N)`` rows."""
-    k = max(1, _BLOCK_ELEMS // A.n)
-    norms = np.empty(len(X))
-    for lo in range(0, len(X), k):
-        norms[lo : lo + k] = true_residual(A, sigma[lo : lo + k], b, X[lo : lo + k], counter=counter)
-    return norms
 
 
 def _check_finite(values: np.ndarray, name: str):
@@ -634,7 +629,7 @@ def solve_all(
     batch = ShiftBatch(method, shifts.shifts, lstate.g1, lstate.v_curr, max_iter, stream,
                        record_history)
     target = tol * bnorm
-    rb = max(1, _BLOCK_ELEMS // A.n)  # iterates per explicit-residual block
+    rb = max(1, _BLOCK_ELEMS // A.n)  # iterates cocg assembles and checks at a time
     # the starting residual is b itself (x_0 = 0); shifts already inside the
     # tolerance never enter the update loop
     batch.res[:] = bnorm
@@ -677,18 +672,12 @@ def solve_all(
     solutions = batch.finish()
     wall = time.perf_counter() - t0
     order = batch.row
-    history = None
-    if record_history:
-        history = [[] for _ in range(batch.m)]
-        for n, ids, rel in batch.history:
-            for ell, value in zip(ids.tolist(), rel.tolist()):
-                history[ell].append((n, value))
-    final_rel_true = (_residual_norms(A, b_arr, shifts.shifts, solutions, counter) / bnorm
+    final_rel_true = (true_residual(A, shifts.shifts, b_arr, solutions, counter) / bnorm
                       if true_residuals else None)
     res = batch.res[order]
     if method == "cocg" and not stream:  # explicit residuals of the unverified iterates
         rest = [ell for ell, s in enumerate(batch.status) if s != "converged"]
-        res[rest] = _residual_norms(A, b_arr, shifts.shifts[rest], solutions[rest], counter)
+        res[rest] = true_residual(A, shifts.shifts[rest], b_arr, solutions[rest], counter)
     report = SolveReport(
         method=method,
         n=A.n,
@@ -705,6 +694,6 @@ def solve_all(
         flops=counter.snapshot(),
         final_rel_true=final_rel_true,
         failure=batch.failure,
-        history=history,
+        history=batch.history,
     )
     return solutions, report

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shiftkrylov import SparseSymMatrix, write_matrix_market
+from shiftkrylov import DenseOracle, SparseSymMatrix, write_matrix_market
 from shiftkrylov.cli import (
     EXIT_BREAKDOWN,
     EXIT_OK,
@@ -240,6 +240,25 @@ class TestRun:
         assert code == EXIT_USAGE
         assert "singular to working precision" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    def test_check_solves_nothing_before_the_options_are_checked(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        solves = []
+        solve = DenseOracle.solve
+
+        def counting(self, sigma, b):
+            solves.append(sigma)
+            return solve(self, sigma, b)
+
+        monkeypatch.setattr(DenseOracle, "solve", counting)
+        shifts = write_shift_file(tmp_path / "s.txt", "range 0.4 0.001 0.001 20\n")
+        args = ["--generate", "64,5,1", "--shifts", shifts, "--check"]
+        assert main(args + ["--tol", "nan"]) == EXIT_USAGE
+        assert "tol must be finite" in capsys.readouterr().err
+        assert solves == []
+        # one dense solve per shift, shared by all four methods
+        assert main(args) == EXIT_OK
+        assert len(solves) == 20
 
     def test_check_memory_does_not_grow_with_factorizations(self, tmp_path):
         # one 4 MiB dense LU at a time: a factorization kept for each of the

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shiftkrylov import FlopCounter, ShiftSet, SparseSymMatrix, true_residual
-from shiftkrylov.core import bilinear_dot, principal_sqrt, spmv
+from shiftkrylov.core import EntryError, bilinear_dot, principal_sqrt, spmv
 
 from _reference import rand_complex_symmetric
 
@@ -168,6 +168,19 @@ class TestSparseSymMatrix:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):
             SparseSymMatrix.from_coo(2, [0, 0, 0], [0, 0, 1], [1.0, 1.0, 2.0])
+
+    def test_entry_error_names_the_entry(self):
+        with pytest.raises(EntryError, match=r"duplicate entry \(1,2\)") as exc:
+            SparseSymMatrix.from_coo(3, [0, 1, 1, 2], [0, 2, 2, 1], [1.0, 2.0, 2.0, 2.0])
+        assert (exc.value.row, exc.value.col) == (1, 2)
+        with pytest.raises(EntryError, match=r"not symmetric at entry \(0,1\)") as exc:
+            SparseSymMatrix.from_coo(2, [0, 0, 1, 1], [0, 1, 0, 1], [1.0, 2.0, 3.0, 1.0])
+        assert (exc.value.row, exc.value.col) == (0, 1)
+        assert isinstance(exc.value, ValueError)
+        # (1,2) and (2,1) mirror each other; (2,0) is the entry without a mirror
+        with pytest.raises(EntryError) as exc:
+            SparseSymMatrix.from_coo(3, [1, 2, 2], [2, 0, 1], [1.0, 1.0, 1.0])
+        assert (exc.value.row, exc.value.col) == (2, 0)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

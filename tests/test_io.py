@@ -150,6 +150,42 @@ class TestReadMatrixMarket:
             read_matrix_market(p)
         assert exc.value.line == 4
 
+    @pytest.mark.parametrize("symmetry, entries, line, message", [
+        ("symmetric", ["1 1 1.0", "2 1 0.5", "2 1 0.5", "2 2 1.0"], 5, "duplicate entry (2,1)"),
+        ("symmetric", ["2 2 1.0", "2 2 2.0", "2 2 3.0", "1 1 1.0"], 4, "duplicate entry (2,2)"),
+        ("general", ["1 1 1.0", "2 1 2.0", "1 2 3.0"], 5,
+         "general file is not symmetric at entry (1,2)"),
+        ("general", ["1 1 1.0", "3 2 1.0", "3 3 1.0"], 4,
+         "general file is not symmetric at entry (3,2)"),
+        ("general", ["1 1 1.0", "1 2 2.0", "2 1 2.0", "1 2 2.0"], 6, "duplicate entry (1,2)"),
+        ("general", ["1 1 1.0", "2 2 1.0", "3 1 1.0", "3 2 2.0", "1 3 1.5", "2 3 5.0"], 7,
+         "general file is not symmetric at entry (1,3)"),
+    ], ids=["sym-offdiag-dup", "sym-diag-triple", "gen-value", "gen-missing-mirror",
+            "gen-dup", "gen-two-pairs"])
+    def test_entry_fault_line_and_message(self, tmp_path, symmetry, entries, line, message):
+        # the first fault in row-major order, at the line of the file entry
+        n = max(int(tok) for e in entries for tok in e.split()[:2])
+        p = write(
+            tmp_path / "fault.mtx",
+            f"%%MatrixMarket matrix coordinate real {symmetry}\n{n} {n} {len(entries)}\n"
+            + "".join(e + "\n" for e in entries),
+        )
+        with pytest.raises(ParseError) as exc:
+            read_matrix_market(p)
+        assert exc.value.line == line
+        assert str(exc.value) == f"{p}:{line}: {message}"
+
+    def test_asymmetry_names_an_entry_without_its_mirror(self, tmp_path):
+        # (2,2) is its own mirror and comes first; the fault is (3,1), without (1,3)
+        p = write(
+            tmp_path / "nomirror.mtx",
+            "%%MatrixMarket matrix coordinate real general\n" "4 4 2\n" "2 2 1.0\n" "3 1 2.0\n",
+        )
+        with pytest.raises(ParseError) as exc:
+            read_matrix_market(p)
+        assert exc.value.line == 4
+        assert str(exc.value).endswith(": general file is not symmetric at entry (3,1)")
+
     def test_out_of_range_index(self, tmp_path):
         p = write(
             tmp_path / "oob.mtx",

@@ -342,7 +342,7 @@ class TestBlockResidual:
 
     @pytest.mark.parametrize("real_matrix", [True, False])
     @pytest.mark.parametrize("real_block", [True, False])
-    def test_block_equals_row_by_row_calls(self, real_matrix, real_block):
+    def test_block_equals_row_by_row_calls(self, monkeypatch, real_matrix, real_block):
         rng = np.random.default_rng(38)
         n, k = 30, 5
         M = rand_real_symmetric(n, rng) if real_matrix else rand_complex_symmetric(n, rng)
@@ -365,6 +365,29 @@ class TestBlockResidual:
             true_residual(A, sigmas[:-1], b, X)
         with pytest.raises(ValueError):
             true_residual(A, sigmas, b, X[:, :-1])
+        # the same rows in blocks of 2, 2 and 1, one sparse product each
+        monkeypatch.setattr(solvers, "_BLOCK_ELEMS", 2 * n)
+        counter = FlopCounter()
+        assert np.array_equal(true_residual(A, sigmas, b, X, counter=counter), rows)
+        assert counter.matvec == 2 * A.nnz * k
+
+    def test_many_rows_run_in_bounded_blocks(self):
+        # 1001 complex rows at N = 512: 8 MiB of iterates, checked 32 rows at a time
+        A = generate_hamiltonian_analog(512, 34, seed=42)
+        rng = np.random.default_rng(39)
+        X = rng.standard_normal((1001, 512)) + 1j * rng.standard_normal((1001, 512))
+        sigmas = 0.4 + 0.001 * np.arange(1001) + 0.001j
+        b = e1(512)
+        A.csr  # the cached sparse view is the matrix's, not the call's
+        tracemalloc.start()
+        try:
+            norms = true_residual(A, sigmas, b, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, f"{peak / 2**20:.2f} MiB"
+        assert np.array_equal(norms[[0, 500, 1000]],
+                              [true_residual(A, sigmas[ell], b, X[ell]) for ell in (0, 500, 1000)])
 
 
 class TestVerifiedDeflation:

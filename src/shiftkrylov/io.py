@@ -117,6 +117,7 @@ def read_matrix_market(path) -> SparseSymMatrix:
     if parsed is None:
         parsed = _scan_entries(path, lines, lineno, nnz, ntok, nrows, symmetry == "symmetric")
     rows, cols, vals, entry_line = parsed
+    del lines, parsed  # the text is not needed past here, and from_coo is where the read peaks
     nonfinite = np.flatnonzero(~np.isfinite(vals))
     if len(nonfinite):
         raise ParseError(path, int(entry_line[nonfinite[0]]), "non-finite value")

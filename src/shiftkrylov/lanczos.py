@@ -7,7 +7,8 @@ generated once and shared.
 
 The recurrence orthogonalizes under the bilinear product ``u^T v`` and
 normalizes each vector to ``v^T v = 1`` (not unit 2-norm). Only the two most
-recent vectors are retained.
+recent vectors are retained; each new one is formed in the array the matvec
+returns.
 
 Termination and breakdown are distinguished by two relative thresholds:
 ``||v~|| <= TERMINATION_TOL * ||b||`` signals an invariant subspace (lucky
@@ -105,20 +106,24 @@ def lanczos_step(
 ) -> LanczosStep:
     """Advance one step: compute ``alpha_n``, ``v~ = A v_n - alpha_n v_n -
     beta_{n-1} v_{n-1}``, ``beta_n = (v~^T v~)^{1/2}`` (principal branch) and
-    the normalized ``v_{n+1}``.
+    the normalized ``v_{n+1}``. ``v~`` is formed and normalized in place in
+    the array the matvec returns, with the roundings of the expression
+    ``(A v_n - alpha_n v_n - beta_{n-1} v_{n-1}) / beta_n``.
 
-    Returns the step data and advances the state. On lucky termination the
-    state is marked finished and further calls raise ``RuntimeError``; a
-    serious breakdown raises :class:`BreakdownError` and leaves the state
-    unusable.
+    Returns the step data and advances the state; each step's ``v_next`` is
+    a new array, so the vectors of earlier steps stay as they were. On lucky
+    termination the state is marked finished and further calls raise
+    ``RuntimeError``; a serious breakdown raises :class:`BreakdownError` and
+    leaves the state unusable.
     """
     if state.finished:
         raise RuntimeError("Lanczos process already terminated")
     n = state.n + 1
     v = state.v_curr
-    Av = spmv(A, v, counter=counter)
-    alpha = bilinear_dot(v, Av)
-    vt = Av - alpha * v - state.beta_prev * state.v_prev
+    vt = spmv(A, v, counter=counter)  # a fresh array: v~ is formed in it
+    alpha = bilinear_dot(v, vt)
+    vt -= alpha * v
+    vt -= state.beta_prev * state.v_prev
     vt_norm = float(np.linalg.norm(vt))
     if vt_norm <= TERMINATION_TOL * state.bnorm2:
         beta = 0.0
@@ -132,7 +137,8 @@ def lanczos_step(
                 "bilinear", n, f"|v~^T v~| = {abs(vtvt):.3e} vs ||v~||^2 = {vt_norm**2:.3e}"
             )
         beta = principal_sqrt(vtvt)
-        v_next = vt / beta
+        vt /= beta
+        v_next = vt
         lucky = False
     step = LanczosStep(
         n=n,

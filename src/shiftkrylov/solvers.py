@@ -34,9 +34,12 @@ Reduction*, 2008). A shift that deflates or breaks down is assembled the
 same way at once, the others at the end, and ``X`` is put in shift order in
 place. The directions are zero until a window carries them, and are only
 made then, so memory is ``O(mN + cN + cm)`` with one ``m x N`` array when
-every shift deflates within a window. ``cocg`` checks, a block at a time, each
-shift whose recurrence value meets the tolerance on its iterate, assembled
-without changing the batch. A callback, or a ``cocg`` history,
+every shift deflates within a window; the coefficient rows grow with the
+window's steps. ``W`` is updated one row at a time in place by BLAS level-1
+calls (``zscal``, ``zaxpy``), and each row's norm (``dznrm2``) is taken in
+the same visit and kept for the estimate. ``cocg`` checks, a block at a
+time, each shift whose recurrence value meets the tolerance on its iterate,
+assembled without changing the batch. A callback, or a ``cocg`` history,
 needs live iterates: a window of one step, the streaming update ``P = v -
 aP; X += dP`` in cache-sized row blocks. Every product rounds a shift's row
 independently of the rows computed with it (see the notes at the products),
@@ -50,6 +53,7 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
+from scipy.linalg.blas import dznrm2, zaxpy, zscal
 
 from .core import BreakdownError, FlopCounter, ShiftSet, SparseSymMatrix, _csr_product
 
@@ -125,6 +129,9 @@ class ShiftBatch:
         self.W = None if self.real or not rotation else np.tile(v1.astype(complex) / omega1, (m, 1))
         self.diag1 = np.zeros(m, dtype=np.complex128)
         fields = ["sigma", "perm", "g", "res", "niter", "X", "diag1"]
+        if self.W is not None:  # ||w|| per row, taken where w is updated
+            self.wnorm = np.full(m, dznrm2(self.W[0]))
+            fields += ["W", "wnorm"]
         if rotation:
             self.diag2, self.s1, self.s2 = (np.zeros(m, dtype=np.complex128) for _ in range(3))
             self.c1, self.c2 = np.zeros(m), np.zeros(m)
@@ -132,7 +139,7 @@ class ShiftBatch:
         else:
             self.f = np.zeros(m, dtype=np.complex128)
             fields.append("f")
-        self._fields = fields + (["W"] if self.W is not None else [])
+        self._fields = fields
         self.status, self.failure = ["unconverged"] * m, [None] * m
         self.history = [[] for _ in range(m)] if record_history else None
         self.bad = None
@@ -146,8 +153,9 @@ class ShiftBatch:
             # columns padded to a multiple of 8: OpenBLAS's small dgemm
             # kernel otherwise rounds a row by its position among the rows
             self.Vw = np.zeros((self.window, -(-n // 8) * 8), dtype=v1.dtype)
-            # coefficient rows 0 and 1 stand for the carried p_{s-2}, p_{s-1}
-            shape = (self.window + 2, m)
+            # coefficient rows 0 and 1 stand for the carried p_{s-2}, p_{s-1};
+            # rows for 30 steps first, then _advance doubles them up to window + 2
+            shape = (min(self.window + 2, 32), m)
             self.Dw, self.Aw = np.zeros(shape, complex), np.zeros(shape, complex)
             self.Bw = np.zeros(shape, complex) if rotation else None
 
@@ -184,6 +192,10 @@ class ShiftBatch:
             self._stream(step.v, d, a, b)
             return
         k = self.k
+        if k + 2 == len(self.Dw):  # coefficient rows full: double them, up to window + 2
+            more = np.zeros((min(k + 2, self.window - k), self.m), complex)
+            self.Dw, self.Aw, self.Bw = (None if arr is None else np.concatenate((arr, more))
+                                         for arr in (self.Dw, self.Aw, self.Bw))
         self.Vw[k, : self.n] = step.v
         self.Dw[k + 2, :na], self.Aw[k + 2, :na] = d, a
         if b is not None:
@@ -341,10 +353,11 @@ def _abs(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _rotation_update(batch: ShiftBatch, step: LanczosStep, omegas, u, counter):
+def _rotation_update(batch: ShiftBatch, step: LanczosStep, omegas, scale, counter):
     """Shared body of the rotation-based updates (identity and omega
     weights): apply the previous two rotations to the active columns, compute
-    the new rotations and advance ``g`` and ``w = -s w + c u``."""
+    the new rotations and advance ``g`` and ``w = -s w + (c scale) v_{n+1}``
+    with ``||w||``."""
     na, n = batch.na, step.n
     om_nm1, om_n, om_np1 = omegas
     t_nm1 = om_nm1 * complex(step.beta_prev)
@@ -367,13 +380,11 @@ def _rotation_update(batch: ShiftBatch, step: LanczosStep, omegas, u, counter):
     d = (c * g) / t_final
     a = t_nm1 / batch.diag1[:na] if n > 1 else zeros.copy()
     b = t_nm2 / batch.diag2[:na] if n > 2 else zeros.copy()
-    if batch.W is not None:
-        rb = max(1, _BLOCK_ELEMS // batch.n)
-        for lo in range(0, na, rb):
-            r = slice(lo, min(na, lo + rb))
-            w = batch.W[r]
-            w *= -s[r, None]
-            w += c[r, None] * u
+    if batch.W is not None:  # each row once, in place: scale, add, then its norm
+        cu = c * scale
+        for r in range(na):
+            w = zaxpy(step.v_next, zscal(-s[r], batch.W[r]), a=cu[r])
+            batch.wnorm[r] = dznrm2(w)
     batch.c2[:na], batch.s2[:na], batch.diag2[:na] = batch.c1[:na], batch.s1[:na], batch.diag1[:na]
     batch.c1[:na], batch.s1[:na], batch.diag1[:na] = c, s, t_final
     batch._advance(step, -sbar * g, d, a, b, 6 * batch.n + 3, _LSQ_OPS_ROTATION, counter)
@@ -385,11 +396,11 @@ def qmr_sym_update(batch: ShiftBatch, step: LanczosStep, counter: FlopCounter | 
     Forms the active columns ``(beta_{n-1}, alpha_n + sigma, beta_n)``,
     rotates them through the stored Givens pairs, computes the new rotations
     (``c`` real nonnegative, ``sbar = (t_{n+1,n} / t_{n,n}) c``) and advances
-    the residual-estimate vectors ``w_{n+1} = -s_n w_n + c_n v_{n+1}`` (kept
-    only on the complex path). A shift whose rotated pivot is exactly zero
-    breaks down.
+    the residual-estimate vectors ``w_{n+1} = -s_n w_n + c_n v_{n+1}`` in
+    place, with their norms (kept only on the complex path). A shift whose
+    rotated pivot is exactly zero breaks down.
     """
-    _rotation_update(batch, step, (1.0, 1.0, 1.0), step.v_next, counter)
+    _rotation_update(batch, step, (1.0, 1.0, 1.0), 1.0, counter)
     return batch
 
 
@@ -399,15 +410,16 @@ def qmr_sym_omega_update(batch: ShiftBatch, step: LanczosStep, counter: FlopCoun
     The weights ``(omega_{n-1}, omega_n, omega_{n+1})`` are the 2-norms of
     the corresponding basis vectors. On a complex basis the estimate vectors
     track ``w~_{n+1} = -s_n w~_n + c_n v_{n+1} / omega_{n+1}`` so that
-    ``|g_{n+1}| ||w~_{n+1}||`` equals the true residual norm; on a real basis
-    that norm is one up to rounding and neither ``w~`` nor ``v_{n+1} /
-    omega_{n+1}`` is formed.
+    ``|g_{n+1}| ||w~_{n+1}||`` equals the true residual norm; the factor
+    ``1 / omega_{n+1}`` goes into the coefficient ``c_n``, so ``v_{n+1}`` is
+    never copied. On a real basis that norm is one up to rounding and ``w~``
+    is not formed.
     """
     om_np1 = float(np.linalg.norm(step.v_next))
     om_nm1, om_n = batch.omegas
     # omega_{n+1} vanishes only on lucky termination, where v_next is zero anyway
-    u = None if batch.W is None else step.v_next / (om_np1 if om_np1 > 0 else 1.0)
-    _rotation_update(batch, step, (om_nm1, om_n, om_np1), u, counter)
+    scale = 1.0 / om_np1 if om_np1 > 0 else 1.0
+    _rotation_update(batch, step, (om_nm1, om_n, om_np1), scale, counter)
     batch.omegas = (om_n, om_np1)
     return batch
 
@@ -444,14 +456,12 @@ cocg_galerkin_update = qmr_sym_b_update
 
 def estimate_residual_qmr(batch: ShiftBatch) -> np.ndarray:
     """Residual 2-norm estimates ``|g_{n+1}| * ||w_{n+1}||`` of the active
-    shifts for the rotation methods. On the real path neither ``qmr-sym`` nor
-    ``qmr-sym-omega`` keeps a ``w``: its norm factor is one (up to rounding
-    for the weighted ``w~``) and the estimate is exactly ``|g_{n+1}|``."""
+    shifts for the rotation methods, with the norms the update took. On the
+    real path neither ``qmr-sym`` nor ``qmr-sym-omega`` keeps a ``w``: its
+    norm factor is one (up to rounding for the weighted ``w~``) and the
+    estimate is exactly ``|g_{n+1}|``."""
     g = _abs(batch.g[: batch.na])
-    if batch.W is None:
-        return g
-    W = batch.W[: batch.na].view(np.float64)
-    return g * np.sqrt(np.einsum("ij,ij->i", W, W))
+    return g if batch.W is None else g * batch.wnorm[: batch.na]
 
 
 def estimate_residual_qmr_b(batch: ShiftBatch, v_next: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,32 @@ class TestReadMatrixMarket:
         )
         A = read_matrix_market(p)
         assert np.array_equal(A.to_dense(), np.array([[1.0, 2.0], [2.0, 0.0]]))
+
+    def test_read_peak_is_bounded_by_the_file_size(self, tmp_path):
+        # a complex 12^3 lattice: nearest-neighbour hopping, on-site imaginary part
+        L = 12
+        n = L**3
+        idx = np.arange(n).reshape(L, L, L)
+        lo = np.concatenate([np.take(idx, np.arange(L - 1), axis=ax).ravel() for ax in range(3)])
+        hi = np.concatenate([np.take(idx, np.arange(1, L), axis=ax).ravel() for ax in range(3)])
+        rng = np.random.default_rng(62)
+        onsite = rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(0.0, 1.0, n)
+        rows = np.concatenate([lo, hi, np.arange(n)])
+        cols = np.concatenate([hi, lo, np.arange(n)])
+        vals = np.concatenate([np.full(2 * len(lo), -1.0 + 0j), onsite])
+        A = SparseSymMatrix.from_coo(n, rows, cols, vals)
+        p = tmp_path / "lattice.mtx"
+        write_matrix_market(A, p)
+        tracemalloc.start()
+        try:
+            B = read_matrix_market(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(B.data, A.data) and np.array_equal(B.indices, A.indices)
+        # the entries and from_coo's work arrays, without the file's lines
+        # (which take about three times the file's size as Python strings)
+        assert peak <= 10.5 * p.stat().st_size
 
     def test_complex_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(60)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shiftkrylov import BreakdownError, SparseSymMatrix
-from shiftkrylov.core import bilinear_dot
+from shiftkrylov.core import bilinear_dot, principal_sqrt, spmv
 from shiftkrylov.lanczos import lanczos_init, lanczos_step
 
 from _reference import (
@@ -80,6 +80,35 @@ class TestStep:
         assert np.allclose(rec.alphas, alphas.real, rtol=1e-12, atol=0)
         assert np.allclose(rec.betas, betas.real, rtol=1e-12, atol=0)
         assert np.allclose(rec.vectors, V.real, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_in_place_step_equals_the_expression(self, real):
+        # each step forms v~ in the matvec's array; earlier steps' vectors stay
+        # as they were (diagnostic runs keep references to them)
+        rng = np.random.default_rng(5)
+        if real:
+            A = SparseSymMatrix.from_dense(rand_real_symmetric(40, rng))
+            b = rng.standard_normal(40)
+        else:
+            A = SparseSymMatrix.from_dense(rand_complex_symmetric(40, rng))
+            b = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        st = lanczos_init(A, b)
+        steps, copies = [], []
+        for _ in range(20):
+            v_prev, beta_prev = st.v_prev, st.beta_prev
+            step = lanczos_step(st, A)
+            Av = spmv(A, step.v)
+            alpha = bilinear_dot(step.v, Av)
+            vt = Av - alpha * step.v - beta_prev * v_prev
+            beta = principal_sqrt(bilinear_dot(vt, vt))
+            assert not step.lucky
+            assert complex(step.alpha) == complex(alpha) and complex(step.beta) == complex(beta)
+            assert step.v_next.dtype == vt.dtype and step.v_next.tobytes() == (vt / beta).tobytes()
+            assert not np.shares_memory(step.v_next, step.v)
+            steps.append(step)
+            copies.append((step.v.copy(), step.v_next.copy()))
+        for step, (v, v_next) in zip(steps, copies):
+            assert step.v.tobytes() == v.tobytes() and step.v_next.tobytes() == v_next.tobytes()
 
     def test_serious_breakdown_detected(self):
         # A e_1 has an isotropic off-diagonal part: v~_2 = (0, 1, i) with

@@ -14,7 +14,7 @@ from shiftkrylov import (
     true_residual,
 )
 from shiftkrylov import solvers
-from shiftkrylov.lanczos import LanczosStep
+from shiftkrylov.lanczos import LanczosStep, lanczos_init, lanczos_step
 from shiftkrylov.solvers import (
     ShiftBatch,
     cocg_galerkin_update,
@@ -597,10 +597,56 @@ class TestResidualEstimates:
             true_residual(A2, 0.0, b, np.zeros(3))
 
 
+class TestResidualVectorNorms:
+    """The rotation methods' estimate ``|g| ||w||`` on a complex basis reads
+    the norm the update took of each row of ``W``."""
+
+    @staticmethod
+    def estimates(batch):
+        est = estimate_residual_qmr(batch)
+        na = batch.na
+        ref = np.abs(batch.g[:na]) * np.linalg.norm(batch.W[:na], axis=1)
+        np.testing.assert_allclose(est, ref, rtol=8 * EPS, atol=0)
+        return est
+
+    @pytest.mark.parametrize("method", ["qmr-sym", "qmr-sym-omega"])
+    def test_cached_norms_follow_updates_and_retirement(self, method):
+        rng = np.random.default_rng(43)
+        A = sparse_from(rand_complex_symmetric(30, rng))
+        b = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+        update = qmr_sym_update if method == "qmr-sym" else qmr_sym_omega_update
+        shifts = [0.2 + 0.1j, 0.5 + 0.3j, 1.0 + 0.05j, 1.5 + 0.2j, 2.0 + 0.4j]
+        state = lanczos_init(A, b)
+        batch = ShiftBatch(method, shifts, state.g1, state.v_curr, 50)
+        for _ in range(6):
+            update(batch, lanczos_step(state, A))
+            est = self.estimates(batch)
+        # rows 0 and 2 retire: rows 3 and 4 move into them
+        batch.retire(np.array([True, False, True, False, False]))
+        assert batch.na == 3 and list(batch.perm[:3]) == [3, 1, 4]
+        assert np.array_equal(self.estimates(batch), est[[3, 1, 4]])
+        for _ in range(4):
+            update(batch, lanczos_step(state, A))
+            self.estimates(batch)
+
+    @pytest.mark.parametrize("method", ["qmr-sym", "qmr-sym-omega"])
+    def test_real_basis_estimate_is_exactly_abs_g(self, method):
+        rng = np.random.default_rng(44)
+        A = sparse_from(rand_real_symmetric(20, rng))
+        update = qmr_sym_update if method == "qmr-sym" else qmr_sym_omega_update
+        state = lanczos_init(A, rng.standard_normal(20))
+        batch = ShiftBatch(method, [0.3 + 0.1j, 0.8 + 0.2j], state.g1, state.v_curr, 50)
+        assert batch.W is None
+        for _ in range(5):
+            update(batch, lanczos_step(state, A))
+            est = estimate_residual_qmr(batch)
+            assert est.tolist() == [abs(complex(g)) for g in batch.g[: batch.na]]
+
+
 class TestOmegaVariant:
     def test_shared_scaled_basis_vector_is_bit_identical(self):
-        # the update divides v_{n+1} by omega_{n+1} once per step for all
-        # shifts; driving it directly over the same steps gives solve_all's
+        # the update folds 1 / omega_{n+1} into each shift's coefficient of
+        # v_{n+1}; driving it directly over the same steps gives solve_all's
         # iterate and estimate bit for bit
         rng = np.random.default_rng(39)
         A = sparse_from(rand_complex_symmetric(12, rng))
@@ -959,6 +1005,59 @@ class TestWindowEngine:
         assert np.array_equal(x[pick], xs[0])
         assert fam.history[pick] == solo.history[0]
         assert fam.final_rel_estimate[pick] == solo.final_rel_estimate[0]
+
+    @pytest.mark.parametrize("stream", [False, True])
+    @pytest.mark.parametrize("n", [601, 603])
+    @pytest.mark.parametrize("method", ["qmr-sym", "qmr-sym-omega"])
+    def test_odd_length_complex_rows_round_alike_in_any_family(self, monkeypatch, method, n,
+                                                                stream):
+        # w is updated and measured one row at a time by BLAS; with N odd a
+        # row's start is 16 bytes off a 32-byte boundary in every other row,
+        # and the picked shift sits in an odd row of the family, in row 0 alone
+        A = generate_hamiltonian_analog(n, 8, seed=5, real=False)
+        b = e1(n)
+        kw = dict(method=method, tol=1e-12, record_history=True)
+        if stream:
+            kw["callback"] = lambda n, states: None
+        else:
+            monkeypatch.setattr(solvers, "_WINDOW_ELEMS", 7 * n)
+        family = 0.7 - 0.05 * np.arange(9) + 0.002j  # the last ones converge last
+        pick = 7
+        x, fam = solve_all(A, b, family, **kw)
+        xs, solo = solve_all(A, b, family[pick : pick + 1], **kw)
+        assert min(fam.iters) < fam.iters[pick]  # rows retire, and w's rows move, before it
+        assert fam.iters[pick] == solo.iters[0]
+        assert np.array_equal(x[pick], xs[0])
+        assert fam.history[pick] == solo.history[0]
+        assert fam.final_rel_estimate[pick] == solo.final_rel_estimate[0]
+
+    @pytest.mark.parametrize("method", RECURRENCES)
+    def test_coefficient_rows_grow_with_the_steps(self, monkeypatch, method):
+        seen = []
+
+        class Watched(ShiftBatch):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                seen.append(len(self.Dw))
+
+            def finish(self):
+                seen.append(len(self.Dw))
+                return super().finish()
+
+        # a disordered chain with an absorbing on-site part: 73 to 145 steps
+        rng = np.random.default_rng(46)
+        n = 200
+        M = np.diag(rng.uniform(-0.5, 0.5, n) + 0.05j) - np.eye(n, k=1) - np.eye(n, k=-1)
+        A, b = sparse_from(M), e1(n)
+        shifts = [0.3 + 0.3j, 0.5 + 0.3j, 1.0 + 0.6j]
+        x1, rep1 = self.solve(monkeypatch, 1, A, b, shifts, method, tol=1e-11)
+        monkeypatch.setattr(solvers, "ShiftBatch", Watched)
+        x, rep = self.solve(monkeypatch, 100, A, b, shifts, method, tol=1e-11)
+        assert min(rep.iters) < 100 < rep.iterations
+        # rows for 30 steps at first, doubled as the window fills, up to window + 2
+        assert seen == [32, 102]
+        assert list(rep.iters) == list(rep1.iters) and rep.status == rep1.status
+        self.assert_close(x, x1)
 
     # two shifts deflate at step 1, two at step 2 and one at step 3; the
     # others run past several windows of 2 and 3 steps

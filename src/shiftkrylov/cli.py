@@ -109,9 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--tol", type=float, default=1e-12, help="relative residual target")
     p.add_argument("--max-iter", type=int, default=None, help="iteration cap (default: 2n)")
-    p.add_argument(
-        "--history", action="store_true", help="record per-iteration residuals (explicit for cocg)"
-    )
+    p.add_argument("--history", action="store_true", help="record per-iteration residual estimates")
     p.add_argument(
         "--check",
         action="store_true",

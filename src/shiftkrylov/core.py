@@ -75,14 +75,7 @@ def principal_sqrt(z):
 
 
 def _sum_all(values: np.ndarray):
-    """Whole-array sum routed through the float64 reduction kernel.
-
-    Complex input is reduced as two separate float64 sums, so real data
-    passed as complex128 with zero imaginary parts reduces through exactly
-    the same code path (hence the same bits) as float64 data.
-    """
-    if values.dtype.kind == "c":
-        return complex(_sum_all(values.real), _sum_all(values.imag))
+    """Whole-array sum routed through the float64 reduction kernel."""
     if values.size == 0:
         return 0.0
     return float(np.add.reduceat(values, [0])[0])

@@ -57,14 +57,14 @@ class DenseOracle:
 
     Keeps a dense copy of the matrix; each :meth:`solve` factorizes its
     shifted matrix afresh and keeps no factorization, so memory does not grow
-    with the number of shifts solved. Construction is refused above ``cap``
-    -- oracles are for verification, not production.
+    with the number of shifts solved. Construction is refused above
+    ``DEFAULT_CAP`` -- oracles are for verification, not production.
     """
 
-    def __init__(self, A, cap: int = DEFAULT_CAP):
+    def __init__(self, A):
         M = _as_dense(A)
-        if M.shape[0] > cap:
-            raise ValueError(f"oracle cap is {cap}, got dimension {M.shape[0]}")
+        if M.shape[0] > DEFAULT_CAP:
+            raise ValueError(f"oracle cap is {DEFAULT_CAP}, got dimension {M.shape[0]}")
         self.dense = M.copy()
         self.n = M.shape[0]
 

@@ -39,9 +39,10 @@ window's steps. ``W`` is updated one row at a time in place by BLAS level-1
 calls (``zscal``, ``zaxpy``), and each row's norm (``dznrm2``) is taken in
 the same visit and kept for the estimate. ``cocg`` checks, a block at a
 time, each shift whose recurrence value meets the tolerance on its iterate,
-assembled without changing the batch. A callback, or a ``cocg`` history,
-needs live iterates: a window of one step, the streaming update ``P = v -
-aP; X += dP`` in cache-sized row blocks. Every product rounds a shift's row
+assembled without changing the batch. A callback needs live iterates: a
+window of one step, the streaming update ``P = v - aP; X += dP`` in
+cache-sized row blocks. A recorded history only observes the values the
+deflation test reads. Every product rounds a shift's row
 independently of the rows computed with it (see the notes at the products),
 so a shift's results do not depend on which other shifts are solved with it.
 """
@@ -318,16 +319,16 @@ class ShiftBatch:
         rows = keep + np.flatnonzero(~assembled[keep:]) if assembled.any() else slice(keep, na)
         self.flush(rows, carry=False)
 
-    def record(self, n, est, target, bnorm, ok=True, assembled=None):
+    def record(self, n, est, target, bnorm, assembled=None):
         """Store the step-``n`` residuals ``est`` of the active prefix (broken
         rows keep their previous value), then retire the broken rows and the
-        rows meeting ``target`` where ``ok``. The rows marked in ``assembled``
-        (which all retire now) already hold their iterates in ``X``."""
+        rows meeting ``target``. The rows marked in ``assembled`` (which all
+        retire now) already hold their iterates in ``X``."""
         na, bad = self.na, self.bad
         live = slice(None) if bad is None else ~bad
         res = self.res[:na]
         res[live] = est[live]
-        done = (res <= target) & ok if bad is None else bad | (res <= target) & ok
+        done = res <= target if bad is None else bad | (res <= target)
         if self.history is not None:  # one (n, relative residual) pair per live shift
             for ell, rel in zip(self.perm[:na][live].tolist(), (res[live] / bnorm).tolist()):
                 self.history[ell].append((n, rel))
@@ -521,7 +522,9 @@ class SolveReport:
     ``||b||``; ``cocg``'s estimate is the explicit residual of the returned
     iterate. ``history`` (when recorded) holds per-shift lists of
     ``(iteration, relative_estimate)`` pairs, one entry per iteration the
-    shift was active (explicit residuals for ``cocg``).
+    shift was active: the value its deflation test read, which for ``cocg``
+    is the recurrence value or, at a step where it was checked, the explicit
+    residual.
     """
 
     method: str
@@ -586,8 +589,8 @@ def solve_all(
     max_iter : int, optional
         Iteration cap; defaults to ``2 * A.n``.
     record_history : bool
-        Keep per-iteration relative residual estimates per shift (``cocg``
-        then computes every active shift's explicit residual at every step).
+        Keep per-iteration relative residual estimates per shift (see
+        :attr:`SolveReport.history`). Recording changes nothing else.
     true_residuals : bool
         Append an explicit end-of-solve residual verification pass.
     counter : FlopCounter, optional
@@ -595,8 +598,9 @@ def solve_all(
     callback : callable, optional
         Invoked after each iteration as ``callback(n, states)``, where
         ``states[l]`` is a read-only view of shift ``l`` with its current
-        iterate ``x`` and its ``sigma``, ``g``, ``res`` and ``niter``. A
-        callback makes the solve assemble its iterates at every step.
+        iterate ``x`` and its ``sigma``, ``g``, ``res`` (the value its history
+        holds) and ``niter``. A callback makes the solve assemble its iterates
+        at every step; ``true_residual`` of ``x`` gives an explicit series.
 
     Returns
     -------
@@ -635,9 +639,8 @@ def solve_all(
     t0 = time.perf_counter()
     lstate = lanczos_init(A, b_arr)
     bnorm = lstate.bnorm2
-    stream = callback is not None or (method == "cocg" and record_history)
-    batch = ShiftBatch(method, shifts.shifts, lstate.g1, lstate.v_curr, max_iter, stream,
-                       record_history)
+    batch = ShiftBatch(method, shifts.shifts, lstate.g1, lstate.v_curr, max_iter,
+                       callback is not None, record_history)
     target = tol * bnorm
     rb = max(1, _BLOCK_ELEMS // A.n)  # iterates cocg assembles and checks at a time
     # the starting residual is b itself (x_0 = 0); shifts already inside the
@@ -659,18 +662,17 @@ def solve_all(
         update(batch, step, counter)
         est = (estimate_residual_qmr_b(batch, step.v_next) if method in ("cocg", "qmr-sym-b")
                else estimate_residual_qmr(batch))
-        ok, assembled = True, None
-        if method == "cocg":  # explicit residuals: rows meeting the target by recurrence,
-            ok = est <= target  # a block of iterates at a time, keeping those that pass
-            rows = np.flatnonzero((ok | stream) & (True if batch.bad is None else ~batch.bad))
+        assembled = None
+        if method == "cocg":  # check the rows meeting the target by recurrence, a block at a time
+            rows = np.flatnonzero((est <= target) & (True if batch.bad is None else ~batch.bad))
             assembled = np.zeros(batch.na, dtype=bool)
             for lo in range(0, len(rows), rb):
                 r = rows[lo : lo + rb]
                 X = batch.iterates(r)
                 est[r] = true_residual(A, batch.sigma[r], b_arr, X, counter=counter)
-                good = (est[r] <= target) & ok[r]
+                good = est[r] <= target
                 batch.X[r[good]], assembled[r[good]] = X[good], True
-        batch.record(n, est, target, bnorm, ok, assembled)
+        batch.record(n, est, target, bnorm, assembled)
         if callback is not None:  # each shift's current row, in shift order
             callback(n, [SimpleNamespace(x=batch.X[r], sigma=complex(batch.sigma[r]),
                                          g=complex(batch.g[r]), res=float(batch.res[r]),
@@ -685,7 +687,7 @@ def solve_all(
     final_rel_true = (true_residual(A, shifts.shifts, b_arr, solutions, counter) / bnorm
                       if true_residuals else None)
     res = batch.res[order]
-    if method == "cocg" and not stream:  # explicit residuals of the unverified iterates
+    if method == "cocg":  # explicit residuals of the unverified iterates
         rest = [ell for ell, s in enumerate(batch.status) if s != "converged"]
         res[rest] = true_residual(A, shifts.shifts[rest], b_arr, solutions[rest], counter)
     report = SolveReport(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from shiftkrylov import DenseOracle, SingularMatrixError, SparseSymMatrix, solve_all
+from shiftkrylov.oracle import DEFAULT_CAP
 
 from _reference import (
     brute_force_wqmr,
@@ -44,7 +45,7 @@ class TestDenseSolve:
 class TestDenseOracle:
     def test_refuses_above_cap(self):
         with pytest.raises(ValueError, match="cap"):
-            DenseOracle(np.eye(20), cap=19)
+            DenseOracle(np.eye(DEFAULT_CAP + 1))
 
     def test_same_shift_solves_two_rhs(self):
         rng = np.random.default_rng(51)

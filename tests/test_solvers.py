@@ -285,14 +285,16 @@ class TestBlockResidual:
     FAMILY = [0.0] + [0.5 + 0.05 * ell + 0.02j for ell in range(40)]
 
     @pytest.mark.parametrize("real", [True, False])
-    def test_cocg_residual_is_explicit_at_every_step(self, real):
+    def test_cocg_callback_residual_is_within_ulps_of_the_explicit(self, real):
         A, b = pivot_zero_banded(600, real)
         assert A.is_real == real
         frozen = []
 
         def cb(n, states):
             for st in states:
-                # a few ulps of ||b|| = 1
+                # the recurrence value, or the explicit residual where the
+                # shift was checked: here within a few ulps of ||b|| = 1 of
+                # the explicit residual of the streamed iterate
                 assert abs(st.res - true_residual(A, st.sigma, b, st.x)) <= 4 * EPS
             frozen.append(states[0].res)
 
@@ -306,25 +308,22 @@ class TestBlockResidual:
 
     def test_cocg_charges_one_complex_matvec_per_residual(self, verified_rows):
         A, b = pivot_zero_banded(600, real=True)
-        # a recorded history streams the iterates: every live shift is checked
-        counter = FlopCounter()
-        _, rep = solve_all(A, b, self.FAMILY, method="cocg", tol=1e-12, counter=counter,
-                           true_residuals=True, record_history=True)
-        assert counter.matvec_real == 2 * A.nnz * rep.iterations  # the Lanczos stream
-        # one per shift per completed update, plus the final verification pass
-        assert counter.matvec_complex == 2 * A.nnz * (int(rep.iters.sum()) + rep.m)
-
-        # windowed: only the rows whose recurrence value met the target are checked
+        # only the rows whose recurrence value met the target are checked
         for final_pass in (False, True):
             verified_rows.clear()
             counter = FlopCounter()
             _, win = solve_all(A, b, self.FAMILY, method="cocg", tol=1e-12, counter=counter,
                                true_residuals=final_pass)
-            assert list(win.iters) == list(rep.iters) and win.status == rep.status
-            assert counter.matvec_real == 2 * A.nnz * win.iterations
+            assert counter.matvec_real == 2 * A.nnz * win.iterations  # the Lanczos stream
             verified = sum(verified_rows) - final_pass * win.m
             assert win.m <= verified < int(win.iters.sum())
             assert counter.matvec_complex == 2 * A.nnz * (verified + final_pass * win.m)
+            # a recorded history charges exactly the same
+            counter_h = FlopCounter()
+            _, rep = solve_all(A, b, self.FAMILY, method="cocg", tol=1e-12, counter=counter_h,
+                               true_residuals=final_pass, record_history=True)
+            assert list(rep.iters) == list(win.iters) and rep.status == win.status
+            assert counter_h == counter
 
     @pytest.mark.parametrize("real", [True, False])
     def test_cocg_shift_alone_equals_shift_in_family(self, real):
@@ -391,8 +390,8 @@ class TestBlockResidual:
 
 
 class TestVerifiedDeflation:
-    """``cocg`` without a callback or a history: the ``qmr-sym-b`` recurrence
-    on the windowed engine, with explicit residuals only for the shifts whose
+    """``cocg`` without a callback: the ``qmr-sym-b`` recurrence on the
+    windowed engine, with explicit residuals only for the shifts whose
     recurrence value meets the target."""
 
     FAMILY = TestBlockResidual.FAMILY
@@ -437,15 +436,53 @@ class TestVerifiedDeflation:
         b, shifts = e1(120), [0.7 + 0.05j]  # ||b|| = 1
         _, rec = solve_all(A, b, shifts, method="qmr-sym-b", tol=1e-300, max_iter=40,
                            record_history=True)
-        _, exp = solve_all(A, b, shifts, method="cocg", tol=1e-300, max_iter=40,
-                           record_history=True)
-        rec, exp = ([value for _, value in r.history[0]] for r in (rec, exp))
+        rec = [value for _, value in rec.history[0]]
+        exp = []  # the explicit residual of each step's streamed iterate
+
+        def explicit(n, states):
+            exp.append(true_residual(A, states[0].sigma, b, states[0].x))
+
+        solve_all(A, b, shifts, method="cocg", tol=1e-300, max_iter=40, callback=explicit)
         # a step whose explicit residual is the first to meet a target its
         # recurrence value misses
         n = next(k for k in range(2, 40) if exp[k] < rec[k] and min(exp[:k]) > rec[k])
         for history in (True, False):
             _, rep = solve_all(A, b, shifts, method="cocg", tol=exp[n], record_history=history)
             assert rep.status == ["converged"] and rep.iters[0] == n + 2
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_history_is_the_recurrence_except_where_checked(self, monkeypatch, real):
+        A = generate_hamiltonian_analog(300, 8, seed=12, real=real)
+        b = e1(300)  # ||b|| = 1: relative values are the norms themselves
+        shifts = 0.3 + 0.02 * np.arange(60) + 0.003j
+        tol = 1e-12
+        checked = {complex(sigma): set() for sigma in shifts}  # explicit residuals taken
+        residual = solvers.true_residual
+
+        def recording(A, sigma, b, x, counter=None):
+            norms = residual(A, sigma, b, x, counter=counter)
+            for s, value in zip(np.atleast_1d(sigma), np.atleast_1d(norms)):
+                checked[complex(s)].add(float(value))
+            return norms
+
+        monkeypatch.setattr(solvers, "true_residual", recording)
+        _, cocg = solve_all(A, b, shifts, method="cocg", tol=tol, record_history=True)
+        # the recurrence values of every step, from a run that never deflates
+        _, rec = solve_all(A, b, shifts, method="qmr-sym-b", tol=1e-300,
+                           max_iter=int(cocg.iters.max()), record_history=True)
+        assert cocg.all_converged
+        replaced = 0
+        for ell, sigma in enumerate(shifts):
+            recurrence = dict(rec.history[ell])
+            assert len(cocg.history[ell]) == cocg.iters[ell]
+            for n, value in cocg.history[ell]:
+                if recurrence[n] > tol:  # not a candidate: not checked
+                    assert value == recurrence[n]
+                else:
+                    assert value in checked[complex(sigma)]
+                    replaced += value != recurrence[n]
+            assert cocg.history[ell][-1][1] == cocg.final_rel_estimate[ell] <= tol
+        assert replaced > 0
 
     @pytest.mark.parametrize("real", [True, False])
     def test_tolerance_below_the_floor_is_checked_at_every_step(self, verified_rows, real):
@@ -771,6 +808,23 @@ class TestDriver:
         assert len(hist_slow) == rep.iters[0] > len(hist_fast)
         assert hist_fast[-1][1] <= rep.tol
 
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_history_is_an_observer(self, method, real):
+        # a breakdown (cocg, qmr-sym-b), deflations at several steps and
+        # shifts left unconverged by max_iter
+        A, b = pivot_zero_banded(600, real)
+        (x, rep), (xh, reph) = (solve_all(A, b, TestBlockResidual.FAMILY, method=method,
+                                          tol=1e-12, max_iter=12, record_history=history)
+                                for history in (False, True))
+        assert reph.history is not None and rep.history is None
+        assert "unconverged" in rep.status and "converged" in rep.status
+        assert np.array_equal(x, xh)
+        assert np.array_equal(rep.iters, reph.iters)
+        assert rep.status == reph.status and rep.failure == reph.failure
+        assert np.array_equal(rep.final_rel_estimate, reph.final_rel_estimate)
+        assert rep.flops == reph.flops
+
     def test_max_iter_exhaustion_reports_unconverged(self):
         rng = np.random.default_rng(29)
         A = sparse_from(rand_real_symmetric(16, rng))
@@ -792,6 +846,28 @@ class TestDriver:
         A = sparse_from(np.eye(2))
         with pytest.raises(BreakdownError, match="bilinear"):
             solve_all(A, np.array([1.0 + 1.0j, 1.0 - 1.0j]), [0.5], method="qmr-sym")
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_lanczos_breakdown_at_the_first_step(self, method):
+        # A e_1 = (0, 1, i) has a zero bilinear square
+        A = sparse_from(np.array([[0, 1, 1j], [1, 0, 0], [1j, 0, 0]]))
+        x, rep = solve_all(A, e1(3), [0.5, 1.0 + 1.0j], method=method)
+        assert rep.status == ["breakdown"] * 2 and rep.iterations == 0
+        assert list(rep.iters) == [0, 0]
+        assert all(f.startswith("bilinear breakdown at step 1") for f in rep.failure)
+        assert not x.any()
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_lanczos_breakdown_keeps_converged_and_frozen_shifts(self, method):
+        # v_2 = e_2 and A e_2 - e_1 = (0, 0, 1, i) has a zero bilinear square
+        M = np.array([[0, 1, 0, 0], [1, 0, 1, 1j], [0, 1, 0, 0], [0, 1j, 0, 0]])
+        A, shifts = sparse_from(M), [1e8, 0.5 + 0.1j]
+        x, rep = solve_all(A, e1(4), shifts, method=method, tol=1e-6)
+        assert rep.status == ["converged", "breakdown"] and list(rep.iters) == [1, 1]
+        assert rep.failure[0] is None
+        assert rep.failure[1].startswith("bilinear breakdown at step 2")
+        x1, _ = solve_all(A, e1(4), shifts, method=method, tol=1e-300, max_iter=1)
+        assert np.array_equal(x, x1)
 
     def test_true_residual_verification_pass(self):
         rng = np.random.default_rng(30)

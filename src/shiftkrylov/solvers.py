@@ -35,26 +35,38 @@ same way at once, the others at the end, and ``X`` is put in shift order in
 place. The directions are zero until a window carries them, and are only
 made then, so memory is ``O(mN + cN + cm)`` with one ``m x N`` array when
 every shift deflates within a window; the coefficient rows grow with the
-window's steps. ``W`` is updated one row at a time in place by BLAS level-1
-calls (``zscal``, ``zaxpy``), and each row's norm (``dznrm2``) is taken in
-the same visit and kept for the estimate. ``cocg`` checks, a block at a
-time, each shift whose recurrence value meets the tolerance on its iterate,
-assembled without changing the batch. A callback needs live iterates: a
-window of one step, the streaming update ``P = v - aP; X += dP`` in
-cache-sized row blocks. A recorded history only observes the values the
-deflation test reads. Every product rounds a shift's row
-independently of the rows computed with it (see the notes at the products),
-so a shift's results do not depend on which other shifts are solved with it.
+window's steps. On a complex basis with ``N >= 8192`` (windows of at most
+16 steps), on two cores with OpenBLAS told to use one thread, each full
+window is flushed on one worker thread while the stream fills a second set
+of window buffers, so the per-shift GEMMs run beside the Lanczos stream;
+whatever else reads or writes ``X`` or the directions first waits for that
+flush, which runs the same code and gives the same bits. A real basis, a
+shorter one and threaded BLAS keep the flush in the stream's thread: on a
+real basis the hand-off measured no gain, and with threaded BLAS a loss
+(BLAS's own threads then hold the second core). ``W`` is updated one row at a time in place by
+NumPy (``w *= -s``, then ``w += c v`` through one reused buffer; SciPy's
+threaded level-1 BLAS competed with NumPy's for the cores), and each row's
+norm (``dznrm2``) is taken in the same visit and kept for the estimate.
+``cocg`` checks, a block at a time, each shift whose recurrence value meets
+the tolerance on its iterate, assembled without changing the batch. A
+callback needs live iterates: a window of one step, the streaming update
+``P = v - aP; X += dP`` in cache-sized row blocks. A recorded history only
+observes the values the deflation test reads. Every product rounds a
+shift's row independently of the rows computed with it (see the notes at
+the products), so a shift's results do not depend on which other shifts are
+solved with it.
 """
 
 from __future__ import annotations
 
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg.blas import dznrm2, zaxpy, zscal
+from scipy.linalg.blas import dznrm2
 
 from .core import BreakdownError, FlopCounter, ShiftSet, SparseSymMatrix, _csr_product
 
@@ -94,6 +106,22 @@ _WINDOW_ELEMS = 2**17
 # inner dimension in its regular kernel but not in its small-matrix kernel,
 # so a row's bits would depend on how many rows share its product.
 _MAX_WINDOW = 256
+# Basis length from which a complex basis flushes each full window on a worker
+# thread (a window of at most 16 steps), where the per-shift GEMMs take about a
+# quarter of the solve and overlap the stream. A real basis keeps the flush in
+# the stream's thread: there the hand-off measured no gain. The worker also
+# needs a core that BLAS leaves idle: with more than one OpenBLAS thread, its
+# pool takes the second core for the stream's vector operations.
+_BACKGROUND_N = 2**13
+
+
+def _idle_core() -> bool:
+    """Whether the process may run on two cores and OpenBLAS was told to use
+    one thread, by the first of its thread-count variables that is set."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    threads = next(filter(None, map(os.environ.get, names)), None)
+    return (cores or 1) >= 2 and threads == "1"
 
 
 class ShiftBatch:
@@ -102,12 +130,17 @@ class ShiftBatch:
     ``window`` is the number of Lanczos steps assembled at once: one with
     ``stream=True`` (``X`` live after every step), otherwise
     ``min(max(1, _WINDOW_ELEMS // N), _MAX_WINDOW, max_iter)``; between
-    flushes ``X`` holds the iterates at the window's start. Rows ``:na`` are
-    the active shifts, ``perm[r]`` is the shift in row ``r`` and ``row[l]``
-    the row of shift ``l``. With a window of several steps ``P1``/``P2`` are
-    ``None`` (zero) until the first carrying flush, then have the ``na`` rows
-    of that moment. ``bad`` marks the rows whose pivot vanished at the last
-    step (or is ``None``): they keep their previous step's state.
+    flushes ``X`` holds the iterates at the window's start. On a complex basis
+    with ``N >= _BACKGROUND_N`` and an idle core (:func:`_idle_core`) a full
+    window is flushed on one worker thread while the stream fills a second
+    set of window buffers; every other reader or writer of ``X``/``P1``/``P2``
+    first calls :meth:`wait`, and leaving a ``with`` block stops the worker.
+    Rows ``:na`` are the active shifts, ``perm[r]`` is the shift in row ``r``
+    and ``row[l]`` the row of shift ``l``. With a window of several steps
+    ``P1``/``P2`` are ``None`` (zero) until the first carrying flush, then
+    have the ``na`` rows of that moment. ``bad`` marks the rows whose pivot
+    vanished at the last step (or is ``None``): they keep their previous
+    step's state.
     """
 
     def __init__(self, method, shifts, g1, v1, max_iter, stream=False, record_history=False):
@@ -150,6 +183,7 @@ class ShiftBatch:
         streamed = self.window == 1
         self.P1 = np.zeros((m, n), dtype=np.complex128) if streamed else None
         self.P2 = np.zeros((m, n), dtype=np.complex128) if streamed and rotation else None
+        self.Vw = self.Dw = self.Aw = self.Bw = None
         if self.window > 1:
             # columns padded to a multiple of 8: OpenBLAS's small dgemm
             # kernel otherwise rounds a row by its position among the rows
@@ -159,6 +193,24 @@ class ShiftBatch:
             shape = (min(self.window + 2, 32), m)
             self.Dw, self.Aw = np.zeros(shape, complex), np.zeros(shape, complex)
             self.Bw = np.zeros(shape, complex) if rotation else None
+        background = not self.real and self.window > 1 and n >= _BACKGROUND_N and _idle_core()
+        # the worker thread starts at the first hand-off
+        self._pool = ThreadPoolExecutor(max_workers=1) if background else None
+        self._pending = self._spare = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._pool is not None:  # stop the worker, after the window it is flushing
+            self._pool.shutdown()
+
+    def wait(self):
+        """Wait for the window flushing on the worker, if any, and raise its
+        error here; ``X``, ``P1`` and ``P2`` are then the caller's again."""
+        pending, self._pending = self._pending, None
+        if pending is not None:
+            pending.result()
 
     def _pivots(self, t, n, kind, what):
         """Mark the rows with a zero pivot ``t`` as broken down at step ``n``
@@ -203,7 +255,21 @@ class ShiftBatch:
             self.Bw[k + 2, :na] = b
         self.k = k + 1
         if self.k == self.window:
-            self.flush(slice(0, na), carry=True)
+            self._flush_window()
+
+    def _flush_window(self):
+        """Flush the full window with ``carry``: here, or handed to the worker
+        while the stream goes on in the spare window buffers."""
+        if self._pool is None:
+            self.flush(slice(0, self.na), carry=True)
+            return
+        self.wait()  # the previous window's buffers become the spare
+        full = (self.k, self.Vw, self.Dw, self.Aw, self.Bw)
+        if self._spare is None:  # rows 0 and 1 of the coefficients stay zero
+            self._spare = [None if arr is None else np.zeros_like(arr) for arr in full[1:]]
+        (self.Vw, self.Dw, self.Aw, self.Bw), self._spare = self._spare, full[1:]
+        self.k = 0
+        self._pending = self._pool.submit(self.flush, slice(0, self.na), True, None, full)
 
     def _stream(self, v, d, a, b):
         """Window of one: ``p = v - a p1 - b p2``, ``x += d p`` in row blocks."""
@@ -222,25 +288,29 @@ class ShiftBatch:
         if b is not None:
             self.P1, self.P2 = self.P2, self.P1
 
-    def flush(self, rows, carry: bool, into=None):
+    def flush(self, rows, carry: bool, into=None, window=None):
         """Add the window's steps to the iterates of ``rows`` (a slice or index
         array), or to ``into`` (a copy of their ``X``) leaving the batch as it is.
         With ``carry`` also advance their directions to the window's last step
-        and empty the window (the rows must then be the whole active prefix)."""
-        k = self.k
-        if carry:
-            self.k = 0
+        and empty the window (the rows must then be the whole active prefix).
+        ``window`` is a full window ``(k, Vw, Dw, Aw, Bw)`` already taken out
+        of the batch, by default the batch's own."""
+        if window is None:
+            window = (self.k, self.Vw, self.Dw, self.Aw, self.Bw)
+            if carry:
+                self.k = 0
+        k, Vw, Dw, Aw, Bw = window
         h = len(self.perm[rows])
         if k == 0 or h == 0:
             return
         # column t * h + j of Y: target t (x, then with carry p_e, p_{e-1}) of
         # row j on p_{s-2}, p_{s-1}, v_s .. v_e. The sweep multiplies whole rows:
         # NumPy rounds a product over a broadcast length-one axis differently
-        targets = 1 + carry * (1 if self.Bw is None else 2)
-        A = np.tile(self.Aw[: k + 2, rows], targets)
-        B = None if self.Bw is None else np.tile(self.Bw[: k + 2, rows], targets)
+        targets = 1 + carry * (1 if Bw is None else 2)
+        A = np.tile(Aw[: k + 2, rows], targets)
+        B = None if Bw is None else np.tile(Bw[: k + 2, rows], targets)
         Y = np.zeros((k + 2, targets * h), dtype=np.complex128)
-        Y[:, :h] = self.Dw[: k + 2, rows]
+        Y[:, :h] = Dw[: k + 2, rows]
         if carry:
             Y[k + 1, h : 2 * h] = 1.0
             if B is not None:
@@ -264,7 +334,7 @@ class ShiftBatch:
             C = np.ascontiguousarray(np.concatenate((C.real, C.imag)) if self.real else C)
             if len(C) == 1:  # a lone row would take the GEMV path and round differently
                 C = np.concatenate((C, np.zeros_like(C)))
-            G = C @ self.Vw[:k]
+            G = C @ Vw[:k]
             new = []
             for t in range(targets):
                 if self.real:
@@ -288,6 +358,7 @@ class ShiftBatch:
     def iterates(self, rows):
         """The current iterates of ``rows`` (an index array), assembled as
         :meth:`flush` assembles them, without changing the batch."""
+        self.wait()
         X = self.X[rows]
         self.flush(rows, carry=False, into=X)
         return X
@@ -296,6 +367,7 @@ class ShiftBatch:
         """Take the rows marked in ``done`` (over the active prefix) out of
         it: record their status, move them behind the survivors and assemble
         their iterates, except those of the rows marked in ``assembled``."""
+        self.wait()
         na = self.na
         assembled = np.zeros(na, dtype=bool) if assembled is None else assembled
         for r in np.flatnonzero(done):
@@ -337,8 +409,9 @@ class ShiftBatch:
 
     def finish(self):
         """Assemble the remaining rows and return ``X``, put in shift order in place."""
+        self.wait()
         self.flush(slice(0, self.na), carry=False)
-        self.P1 = self.P2 = self.W = self.Vw = None
+        self.P1 = self.P2 = self.W = self.Vw = self._spare = None
         X, row = self.X, self.row.tolist()
         for start in range(self.m):
             if row[start] != start:  # one cycle of the permutation, a row in hand
@@ -383,8 +456,11 @@ def _rotation_update(batch: ShiftBatch, step: LanczosStep, omegas, scale, counte
     b = t_nm2 / batch.diag2[:na] if n > 2 else zeros.copy()
     if batch.W is not None:  # each row once, in place: scale, add, then its norm
         cu = c * scale
+        buf = np.empty_like(step.v_next)
         for r in range(na):
-            w = zaxpy(step.v_next, zscal(-s[r], batch.W[r]), a=cu[r])
+            w = batch.W[r]
+            w *= -s[r]
+            w += np.multiply(step.v_next, cu[r], out=buf)
             batch.wnorm[r] = dznrm2(w)
     batch.c2[:na], batch.s2[:na], batch.diag2[:na] = batch.c1[:na], batch.s1[:na], batch.diag1[:na]
     batch.c1[:na], batch.s1[:na], batch.diag1[:na] = c, s, t_final
@@ -639,49 +715,50 @@ def solve_all(
     t0 = time.perf_counter()
     lstate = lanczos_init(A, b_arr)
     bnorm = lstate.bnorm2
-    batch = ShiftBatch(method, shifts.shifts, lstate.g1, lstate.v_curr, max_iter,
-                       callback is not None, record_history)
-    target = tol * bnorm
-    rb = max(1, _BLOCK_ELEMS // A.n)  # iterates cocg assembles and checks at a time
-    # the starting residual is b itself (x_0 = 0); shifts already inside the
-    # tolerance never enter the update loop
-    batch.res[:] = bnorm
-    batch.retire(batch.res <= target)
+    with ShiftBatch(method, shifts.shifts, lstate.g1, lstate.v_curr, max_iter,
+                    callback is not None, record_history) as batch:
+        target = tol * bnorm
+        rb = max(1, _BLOCK_ELEMS // A.n)  # iterates cocg assembles and checks at a time
+        # the starting residual is b itself (x_0 = 0); shifts already inside the
+        # tolerance never enter the update loop
+        batch.res[:] = bnorm
+        batch.retire(batch.res <= target)
 
-    iterations, lucky = 0, False
-    for n in range(1, max_iter + 1):
-        if not batch.na:
-            break
-        try:
-            step = lanczos_step(lstate, A, counter=counter)
-        except BreakdownError as exc:
-            for ell in batch.perm[: batch.na]:
-                batch.status[ell], batch.failure[ell] = "breakdown", str(exc)
-            break
-        iterations = n
-        update(batch, step, counter)
-        est = (estimate_residual_qmr_b(batch, step.v_next) if method in ("cocg", "qmr-sym-b")
-               else estimate_residual_qmr(batch))
-        assembled = None
-        if method == "cocg":  # check the rows meeting the target by recurrence, a block at a time
-            rows = np.flatnonzero((est <= target) & (True if batch.bad is None else ~batch.bad))
-            assembled = np.zeros(batch.na, dtype=bool)
-            for lo in range(0, len(rows), rb):
-                r = rows[lo : lo + rb]
-                X = batch.iterates(r)
-                est[r] = true_residual(A, batch.sigma[r], b_arr, X, counter=counter)
-                good = est[r] <= target
-                batch.X[r[good]], assembled[r[good]] = X[good], True
-        batch.record(n, est, target, bnorm, assembled)
-        if callback is not None:  # each shift's current row, in shift order
-            callback(n, [SimpleNamespace(x=batch.X[r], sigma=complex(batch.sigma[r]),
-                                         g=complex(batch.g[r]), res=float(batch.res[r]),
-                                         niter=int(batch.niter[r])) for r in batch.row])
-        if step.lucky:
-            lucky = True
-            break
+        iterations, lucky = 0, False
+        for n in range(1, max_iter + 1):
+            if not batch.na:
+                break
+            try:
+                step = lanczos_step(lstate, A, counter=counter)
+            except BreakdownError as exc:
+                for ell in batch.perm[: batch.na]:
+                    batch.status[ell], batch.failure[ell] = "breakdown", str(exc)
+                break
+            iterations = n
+            update(batch, step, counter)
+            est = (estimate_residual_qmr_b(batch, step.v_next) if method in ("cocg", "qmr-sym-b")
+                   else estimate_residual_qmr(batch))
+            assembled = None
+            # cocg checks the rows meeting the target by recurrence, a block at a time
+            if method == "cocg":
+                rows = np.flatnonzero((est <= target) & (True if batch.bad is None else ~batch.bad))
+                assembled = np.zeros(batch.na, dtype=bool)
+                for lo in range(0, len(rows), rb):
+                    r = rows[lo : lo + rb]
+                    X = batch.iterates(r)
+                    est[r] = true_residual(A, batch.sigma[r], b_arr, X, counter=counter)
+                    good = est[r] <= target
+                    batch.X[r[good]], assembled[r[good]] = X[good], True
+            batch.record(n, est, target, bnorm, assembled)
+            if callback is not None:  # each shift's current row, in shift order
+                callback(n, [SimpleNamespace(x=batch.X[r], sigma=complex(batch.sigma[r]),
+                                             g=complex(batch.g[r]), res=float(batch.res[r]),
+                                             niter=int(batch.niter[r])) for r in batch.row])
+            if step.lucky:
+                lucky = True
+                break
 
-    solutions = batch.finish()
+        solutions = batch.finish()
     wall = time.perf_counter() - t0
     order = batch.row
     final_rel_true = (true_residual(A, shifts.shifts, b_arr, solutions, counter) / bnorm

@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -328,16 +332,20 @@ class TestBlockResidual:
     @pytest.mark.parametrize("real", [True, False])
     def test_cocg_shift_alone_equals_shift_in_family(self, real):
         # N = 512 puts 32 shifts in one block; as neighbours deflate, shift 77
-        # shares its block with different shifts from step to step
+        # shares its block with different shifts from step to step. Solved on
+        # the window, then streamed by a callback: a window of one step, whose
+        # explicit residuals are taken of the live iterates
         A = generate_hamiltonian_analog(512, 8, seed=5, real=real)
         b = e1(512)
         family = 0.3 + 0.004 * np.arange(130) + 0.002j
-        _, fam = solve_all(A, b, family, method="cocg", tol=1e-12, record_history=True)
-        _, solo = solve_all(A, b, family[77:78], method="cocg", tol=1e-12, record_history=True)
-        assert len(set(fam.iters)) > 1
-        assert fam.history[77] == solo.history[0]
-        assert fam.iters[77] == solo.iters[0]
-        assert fam.final_rel_estimate[77] == solo.final_rel_estimate[0]
+        for callback in (None, lambda n, states: None):
+            kw = dict(method="cocg", tol=1e-12, record_history=True, callback=callback)
+            _, fam = solve_all(A, b, family, **kw)
+            _, solo = solve_all(A, b, family[77:78], **kw)
+            assert len(set(fam.iters)) > 1
+            assert fam.history[77] == solo.history[0]
+            assert fam.iters[77] == solo.iters[0]
+            assert fam.final_rel_estimate[77] == solo.final_rel_estimate[0]
 
     @pytest.mark.parametrize("real_matrix", [True, False])
     @pytest.mark.parametrize("real_block", [True, False])
@@ -1203,3 +1211,157 @@ class TestWindowEngine:
         # the iterates, the window and the solve's smaller arrays: no directions,
         # no copy of the iterates on return
         assert peak <= m * n * 16 + window + 2 * 2**20
+
+
+class TestBackgroundFlush:
+    """On a complex basis with ``N >= _BACKGROUND_N`` and an idle core, each
+    full window is flushed on one worker thread while the stream fills a
+    second set of window buffers, with the bits of the synchronous flush."""
+
+    N = 2**13
+    # on the chain below from e_1 they deflate from step 26 to 170, each
+    # inside one of the windows of 16 steps
+    SHIFTS = [0.3 + 0.3j, 0.5 + 0.2j, 1.0 + 0.6j, 1.5 + 0.15j, 0.1 + 0.4j, 2.5 + 1j]
+
+    @staticmethod
+    def chain(n=N, real=False):
+        """A disordered chain of ``n`` sites with an absorbing on-site part
+        (real without it), and ``e_1``."""
+        rng = np.random.default_rng(46)
+        i, d = np.arange(n - 1), np.arange(n)
+        onsite = rng.uniform(-0.5, 0.5, n) + (0.0 if real else 0.05j)
+        vals = np.concatenate([-np.ones(2 * (n - 1)), onsite])
+        A = SparseSymMatrix.from_coo(n, np.concatenate([i, i + 1, d]), np.concatenate([i + 1, i, d]),
+                                     vals)
+        return A, e1(n)
+
+    @pytest.fixture
+    def flushes(self, monkeypatch):
+        """Each flush as ``(on the worker, into)``. The worker sleeps first,
+        so that the stream runs ahead and a missing wait reads a stale ``X``,
+        and the threads switch every microsecond."""
+        monkeypatch.setattr(solvers, "_idle_core", lambda: True)
+        seen = []
+        flush = ShiftBatch.flush
+
+        def slowed(batch, rows, carry, into=None, window=None):
+            worker = threading.current_thread() is not threading.main_thread()
+            seen.append((worker, into is not None))
+            if worker:
+                time.sleep(0.005)
+            return flush(batch, rows, carry, into, window)
+
+        monkeypatch.setattr(ShiftBatch, "flush", slowed)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield seen
+        finally:
+            sys.setswitchinterval(interval)
+
+    # with max_iter = 96 the last window is on the worker when the loop ends
+    @pytest.mark.parametrize("max_iter", [None, 96])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_background_equals_synchronous(self, monkeypatch, flushes, method, max_iter):
+        A, b = self.chain()
+        threads = threading.active_count()
+        runs = []
+        for least_n in (self.N, self.N + 1):
+            monkeypatch.setattr(solvers, "_BACKGROUND_N", least_n)
+            flushes.clear()
+            counter = FlopCounter()
+            x, rep = solve_all(A, b, self.SHIFTS, method=method, tol=1e-10, max_iter=max_iter,
+                               record_history=True, counter=counter)
+            assert threading.active_count() == threads
+            runs.append((x, rep, counter, sum(w for w, _ in flushes), any(i for _, i in flushes)))
+        (x, rep, counter, handed, assembled), (xs, reps, counters, handed_s, _) = runs
+        if max_iter is None:  # every shift deflates mid-window
+            assert rep.all_converged and rep.iterations > 160 and np.all(rep.iters % 16)
+        else:
+            assert rep.iterations == 96 and rep.status.count("unconverged") == 4
+        assert handed == rep.iterations // 16 and handed_s == 0
+        assert assembled == (method == "cocg")  # cocg's iterates wait for the worker too
+        assert np.array_equal(x, xs)
+        assert list(rep.iters) == list(reps.iters) and rep.status == reps.status
+        assert np.array_equal(rep.final_rel_estimate, reps.final_rel_estimate)
+        assert rep.history == reps.history
+        assert vars(counter) == vars(counters) and vars(rep.flops) == vars(reps.flops)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_shift_alone_equals_shift_in_family(self, flushes, method):
+        A, b = self.chain()
+        pick = 3  # deflates after four other rows have retired
+        x, fam = solve_all(A, b, self.SHIFTS, method=method, tol=1e-10, record_history=True)
+        xs, solo = solve_all(A, b, self.SHIFTS[pick : pick + 1], method=method, tol=1e-10,
+                             record_history=True)
+        assert sorted(fam.iters).index(fam.iters[pick]) == 4 and any(w for w, _ in flushes)
+        assert fam.iters[pick] == solo.iters[0]
+        assert np.array_equal(x[pick], xs[0])
+        assert fam.history[pick] == solo.history[0]
+        assert fam.final_rel_estimate[pick] == solo.final_rel_estimate[0]
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_idle_core", lambda: True)
+        flush = ShiftBatch.flush
+
+        def failing(batch, rows, carry, into=None, window=None):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("flush failed on the worker")
+            return flush(batch, rows, carry, into, window)
+
+        monkeypatch.setattr(ShiftBatch, "flush", failing)
+        A, b = self.chain()
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="on the worker"):
+            solve_all(A, b, self.SHIFTS, method="qmr-sym", tol=1e-10)
+        assert threading.active_count() == threads
+
+    def test_stream_error_stops_the_worker(self, monkeypatch, flushes):
+        steps = []
+
+        def failing(state, A, counter=None):
+            steps.append(1)
+            if len(steps) == 33:  # the window of steps 17..32 is on the worker
+                raise RuntimeError("stream stopped")
+            return lanczos_step(state, A, counter=counter)
+
+        monkeypatch.setattr(solvers, "lanczos_step", failing)
+        A, b = self.chain()
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="stream stopped"):
+            solve_all(A, b, self.SHIFTS, method="qmr-sym-b", tol=1e-10)
+        assert threading.active_count() == threads
+        assert sum(w for w, _ in flushes) == 2
+
+    @pytest.mark.parametrize("case", ["background", "real", "shorter", "no idle core"])
+    def test_one_thread_only_on_the_background_path(self, monkeypatch, case):
+        monkeypatch.setattr(solvers, "_idle_core", lambda: case != "no idle core")
+        started = []
+        start = threading.Thread.start
+
+        def counting(thread):
+            started.append(thread)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        A, b = self.chain(self.N - (case == "shorter"), real=case == "real")
+        for method in ("qmr-sym", "cocg"):
+            started.clear()
+            _, rep = solve_all(A, b, self.SHIFTS, method=method, tol=1e-10)
+            assert rep.all_converged and rep.iterations > 32
+            assert len(started) == (case == "background")
+
+    @pytest.mark.parametrize("env, cores, idle", [
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
+        ({"OMP_NUM_THREADS": "1"}, 4, True),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, False),
+        ({}, 2, False),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, False),
+    ])
+    def test_idle_core_needs_one_blas_thread_and_two_cores(self, monkeypatch, env, cores, idle):
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        assert solvers._idle_core() is idle

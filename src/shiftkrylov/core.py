@@ -7,6 +7,12 @@ the solvers can exploit real arithmetic, complex data is complex128.
 The inner product used throughout is the *bilinear* (unconjugated) one,
 ``u^T v``, not the Hermitian ``u^H v``. It can vanish for nonzero complex
 vectors; that degeneracy is exactly what the breakdown checks guard.
+
+Every reduction that feeds a result gives the same bits whatever the number
+of BLAS threads: OpenBLAS splits its dot products across threads only above
+10,000 entries, so complex dot products run as BLAS ``zdotu`` over fixed
+chunks of ``_DOT_CHUNK`` entries, and 2-norms run through BLAS ``dnrm2`` /
+``dznrm2``, which are not threaded (:func:`_norm2`).
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
+from scipy.linalg.blas import dnrm2, dznrm2
 
 __all__ = [
     "BreakdownError",
@@ -74,6 +81,22 @@ def principal_sqrt(z):
     return cmath.sqrt(z)
 
 
+# Entries per BLAS dot product: below OpenBLAS's threading bound of 10,000
+# entries, so each chunk rounds the same way whatever the thread count.
+_DOT_CHUNK = 8192
+
+
+def _norm2(x) -> float:
+    """2-norm of a vector by BLAS ``dznrm2`` (complex) or ``dnrm2`` (real).
+
+    Every norm that feeds a result goes through here: unlike
+    ``np.linalg.norm``, whose ``ddot`` is threaded above 10,000 entries, these
+    kernels give the same bits for any number of BLAS threads.
+    """
+    x = np.asarray(x)
+    return float(dznrm2(x) if x.dtype.kind == "c" else dnrm2(x))
+
+
 def _sum_all(values: np.ndarray):
     """Whole-array sum routed through the float64 reduction kernel."""
     if values.size == 0:
@@ -85,19 +108,30 @@ def bilinear_dot(u, v):
     """Unconjugated inner product ``u^T v = sum_i u_i v_i``.
 
     Unlike the Hermitian dot this can be zero for a nonzero vector, e.g.
-    ``u = (1+1j, 1-1j)``. Complex products are expanded into their real and
-    imaginary parts explicitly and every reduction runs through one fixed
-    float64 kernel, which makes the result exactly symmetric in the
-    arguments and bit-identical between the real path and the complex path
-    on real data.
+    ``u = (1+1j, 1-1j)``. Real operands are multiplied elementwise and summed
+    by one fixed float64 kernel. Complex operands are summed by BLAS
+    ``zdotu`` over fixed chunks of ``_DOT_CHUNK`` entries, added in index
+    order, so the bits do not depend on the BLAS thread count; ``zdotu`` sums
+    ``Re*Re``, ``Im*Im``, ``Re*Im`` and ``Im*Re`` separately, which keeps the
+    result exactly symmetric in the arguments. When its imaginary part is
+    exactly zero -- always so on real data -- the product is instead expanded
+    into real and imaginary parts, each reduced by the real kernel, so the
+    complex path is bit-identical to the real one on real data.
     """
     u = np.asarray(u)
     v = np.asarray(v)
     if u.ndim != 1 or u.shape != v.shape:
         raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
     if u.dtype.kind == "c" or v.dtype.kind == "c":
-        a, b = np.asarray(u.real), np.asarray(u.imag)
-        c, d = np.asarray(v.real), np.asarray(v.imag)
+        u = np.ascontiguousarray(u, dtype=np.complex128)
+        v = np.ascontiguousarray(v, dtype=np.complex128)
+        z = 0j
+        for i in range(0, len(u), _DOT_CHUNK):
+            z += complex(np.dot(u[i : i + _DOT_CHUNK], v[i : i + _DOT_CHUNK]))
+        if z.imag != 0:  # NaN too
+            return z
+        a, b = u.real, u.imag
+        c, d = v.real, v.imag
         return complex(
             _sum_all(a * c) - _sum_all(b * d),
             _sum_all(a * d) + _sum_all(b * c),

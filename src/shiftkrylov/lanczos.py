@@ -23,7 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BreakdownError, FlopCounter, SparseSymMatrix, bilinear_dot, principal_sqrt, spmv
+from .core import (
+    BreakdownError,
+    FlopCounter,
+    SparseSymMatrix,
+    _norm2,
+    bilinear_dot,
+    principal_sqrt,
+    spmv,
+)
 
 __all__ = [
     "BREAKDOWN_TOL",
@@ -84,7 +92,7 @@ def lanczos_init(A: SparseSymMatrix, b) -> LanczosState:
     real_path = A.is_real and b.dtype.kind != "c"
     if not real_path:
         b = b.astype(np.complex128)
-    bnorm2 = float(np.linalg.norm(b))
+    bnorm2 = _norm2(b)
     if bnorm2 == 0.0:
         raise ValueError("rhs must be nonzero")
     btb = bilinear_dot(b, b)
@@ -108,7 +116,10 @@ def lanczos_step(
     beta_{n-1} v_{n-1}``, ``beta_n = (v~^T v~)^{1/2}`` (principal branch) and
     the normalized ``v_{n+1}``. ``v~`` is formed and normalized in place in
     the array the matvec returns, with the roundings of the expression
-    ``(A v_n - alpha_n v_n - beta_{n-1} v_{n-1}) / beta_n``.
+    ``(A v_n - alpha_n v_n - beta_{n-1} v_{n-1}) / beta_n``. ``||v~||``, which
+    only feeds the termination and breakdown tests, is taken by BLAS
+    ``dznrm2`` (``dnrm2`` on a real basis), whose bits do not depend on the
+    BLAS thread count.
 
     Returns the step data and advances the state; each step's ``v_next`` is
     a new array, so the vectors of earlier steps stay as they were. On lucky
@@ -122,9 +133,10 @@ def lanczos_step(
     v = state.v_curr
     vt = spmv(A, v, counter=counter)  # a fresh array: v~ is formed in it
     alpha = bilinear_dot(v, vt)
-    vt -= alpha * v
-    vt -= state.beta_prev * state.v_prev
-    vt_norm = float(np.linalg.norm(vt))
+    buf = np.empty_like(vt)  # one buffer for both scaled vectors
+    vt -= np.multiply(alpha, v, out=buf)
+    vt -= np.multiply(state.beta_prev, state.v_prev, out=buf)
+    vt_norm = _norm2(vt)
     if vt_norm <= TERMINATION_TOL * state.bnorm2:
         beta = 0.0
         v_next = np.zeros_like(vt)

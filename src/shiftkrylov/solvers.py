@@ -66,9 +66,8 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg.blas import dznrm2
 
-from .core import BreakdownError, FlopCounter, ShiftSet, SparseSymMatrix, _csr_product
+from .core import BreakdownError, FlopCounter, ShiftSet, SparseSymMatrix, _csr_product, _norm2
 
 # spmv stays a name of this module: perfbench/spans.py wraps solvers.spmv
 from .core import spmv  # noqa: F401
@@ -156,7 +155,7 @@ class ShiftBatch:
         rotation = method in ("qmr-sym", "qmr-sym-omega")
         omega1 = 1.0
         if method == "qmr-sym-omega":
-            omega1 = float(np.linalg.norm(v1))
+            omega1 = _norm2(v1)
             self.omegas = (1.0, omega1)  # omega_{n-1} multiplies beta_0 = 0
             self.g *= omega1
         # no w on a real basis: there v^T v = v^H v = 1 keeps ||w|| at one
@@ -164,7 +163,7 @@ class ShiftBatch:
         self.diag1 = np.zeros(m, dtype=np.complex128)
         fields = ["sigma", "perm", "g", "res", "niter", "X", "diag1"]
         if self.W is not None:  # ||w|| per row, taken where w is updated
-            self.wnorm = np.full(m, dznrm2(self.W[0]))
+            self.wnorm = np.full(m, _norm2(self.W[0]))
             fields += ["W", "wnorm"]
         if rotation:
             self.diag2, self.s1, self.s2 = (np.zeros(m, dtype=np.complex128) for _ in range(3))
@@ -461,7 +460,7 @@ def _rotation_update(batch: ShiftBatch, step: LanczosStep, omegas, scale, counte
             w = batch.W[r]
             w *= -s[r]
             w += np.multiply(step.v_next, cu[r], out=buf)
-            batch.wnorm[r] = dznrm2(w)
+            batch.wnorm[r] = _norm2(w)
     batch.c2[:na], batch.s2[:na], batch.diag2[:na] = batch.c1[:na], batch.s1[:na], batch.diag1[:na]
     batch.c1[:na], batch.s1[:na], batch.diag1[:na] = c, s, t_final
     batch._advance(step, -sbar * g, d, a, b, 6 * batch.n + 3, _LSQ_OPS_ROTATION, counter)
@@ -492,7 +491,7 @@ def qmr_sym_omega_update(batch: ShiftBatch, step: LanczosStep, counter: FlopCoun
     never copied. On a real basis that norm is one up to rounding and ``w~``
     is not formed.
     """
-    om_np1 = float(np.linalg.norm(step.v_next))
+    om_np1 = _norm2(step.v_next)
     om_nm1, om_n = batch.omegas
     # omega_{n+1} vanishes only on lucky termination, where v_next is zero anyway
     scale = 1.0 / om_np1 if om_np1 > 0 else 1.0
@@ -546,7 +545,7 @@ def estimate_residual_qmr_b(batch: ShiftBatch, v_next: np.ndarray) -> np.ndarray
     shifts for the bidiagonal-weight method; exactly ``|g~_{n+1}|`` on the
     real path, where basis vectors have unit 2-norm."""
     g = _abs(batch.g[: batch.na])
-    return g if batch.real else g * float(np.linalg.norm(v_next))
+    return g if batch.real else g * _norm2(v_next)
 
 
 def true_residual(A: SparseSymMatrix, sigma, b, x, counter: FlopCounter | None = None):

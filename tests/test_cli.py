@@ -104,7 +104,7 @@ class TestRun:
         )
         assert code == EXIT_OK
         for method in ("cocg", "qmr-sym", "qmr-sym-b", "qmr-sym-omega"):
-            lines = open(f"{prefix}.{method}.summary.txt").read().splitlines()
+            lines = Path(f"{prefix}.{method}.summary.txt").read_text().splitlines()
             data = [l for l in lines if not l.startswith("#")]
             assert len(data) == 3
             assert all(int(l.split()[3]) == 1 for l in data)
@@ -127,7 +127,7 @@ class TestRun:
         for method in ("cocg", "qmr-sym", "qmr-sym-b", "qmr-sym-omega"):
             data = [
                 l
-                for l in open(f"{prefix}.{method}.summary.txt").read().splitlines()
+                for l in Path(f"{prefix}.{method}.summary.txt").read_text().splitlines()
                 if not l.startswith("#")
             ]
             for line in data:
@@ -150,7 +150,7 @@ class TestRun:
         )
         assert code == EXIT_UNCONVERGED  # tol is unreachable by design
         totals = {}
-        for line in open(f"{prefix}.compare.txt").read().splitlines():
+        for line in Path(f"{prefix}.compare.txt").read_text().splitlines():
             if line.startswith("# totals"):
                 toks = dict(t.split("=") for t in line[2:].split() if "=" in t)
                 totals[toks["method"]] = int(toks["update_flops"])
@@ -335,9 +335,9 @@ class TestDeterminism:
         assert code == EXIT_OK
         out = {}
         for method in ("cocg", "qmr-sym", "qmr-sym-b", "qmr-sym-omega"):
-            out[f"{method}.summary"] = open(f"{prefix}.{method}.summary.txt", "rb").read()
-            out[f"{method}.history"] = open(f"{prefix}.{method}.history.csv", "rb").read()
-        out["compare"] = open(f"{prefix}.compare.txt", "rb").read()
+            out[f"{method}.summary"] = Path(f"{prefix}.{method}.summary.txt").read_bytes()
+            out[f"{method}.history"] = Path(f"{prefix}.{method}.history.csv").read_bytes()
+        out["compare"] = Path(f"{prefix}.compare.txt").read_bytes()
         return out
 
     def test_repeated_runs_are_byte_identical(self, tmp_path):

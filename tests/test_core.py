@@ -1,7 +1,9 @@
+import cmath
+
 import numpy as np
 import pytest
 
-from shiftkrylov import FlopCounter, ShiftSet, SparseSymMatrix, true_residual
+from shiftkrylov import FlopCounter, ShiftSet, SparseSymMatrix, core, true_residual
 from shiftkrylov.core import EntryError, bilinear_dot, principal_sqrt, spmv
 
 from _reference import rand_complex_symmetric
@@ -27,7 +29,7 @@ class TestBilinearDot:
 
     def test_real_and_complex_paths_agree_bitwise(self):
         rng = np.random.default_rng(11)
-        for n in (1, 2, 17, 100, 513):
+        for n in (1, 2, 17, 100, 513, 8193, 20000):
             u = rng.standard_normal(n)
             v = rng.standard_normal(n)
             real = bilinear_dot(u, v)
@@ -38,6 +40,35 @@ class TestBilinearDot:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             bilinear_dot(np.ones(3), np.ones(4))
+
+    def test_symmetric_in_arguments_bitwise_across_chunks(self):
+        # lengths around the BLAS chunk of 8,192 entries and beyond
+        # OpenBLAS's threading bound of 10,000
+        rng = np.random.default_rng(13)
+        for n in (*range(1, 65), 8191, 8192, 8193, 16384, 20000):
+            u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            uv, vu = bilinear_dot(u, v), bilinear_dot(v, u)
+            assert (uv.real, uv.imag) == (vu.real, vu.imag), n
+            assert abs(uv - np.sum(u * v)) <= 1e-12 * np.sum(np.abs(u * v)), n
+
+    def test_zero_imaginary_part_takes_the_exact_path(self, monkeypatch):
+        # zdotu of the isotropic pair has an exactly zero imaginary part, so
+        # the product is expanded and reduced by the real kernel instead
+        reduced, sum_all = [], core._sum_all
+        monkeypatch.setattr(core, "_sum_all", lambda x: reduced.append(x) or sum_all(x))
+        u = np.array([1.0 + 1.0j, 1.0 - 1.0j])
+        assert np.dot(u, u).imag == 0.0
+        assert bilinear_dot(u, u) == 0.0 and len(reduced) == 4
+        reduced.clear()
+        assert bilinear_dot(u, np.array([1.0, 0.0])) == 1.0 + 1.0j and reduced == []
+
+    def test_nan_entry_gives_nan(self):
+        for n in (5, 20000):
+            u = np.ones(n, dtype=complex)
+            u[n // 2] = complex(np.nan, 1.0)
+            assert cmath.isnan(bilinear_dot(u, np.ones(n, dtype=complex)))
+            assert cmath.isnan(bilinear_dot(np.ones(n, dtype=complex), u))
 
 
 class TestPrincipalSqrt:

@@ -8,7 +8,9 @@ generated once and shared.
 The recurrence orthogonalizes under the bilinear product ``u^T v`` and
 normalizes each vector to ``v^T v = 1`` (not unit 2-norm). Only the two most
 recent vectors are retained; each new one is formed in the array the matvec
-returns.
+returns and normalized there, by one multiply with ``1 / beta_n`` on a complex
+basis (a division on a real one). Its 2-norm is published with it, as
+``||v~|| / |beta_n|`` from the norm the step takes anyway.
 
 Termination and breakdown are distinguished by two relative thresholds:
 ``||v~|| <= TERMINATION_TOL * ||b||`` signals an invariant subspace (lucky
@@ -66,7 +68,10 @@ class LanczosStep:
     """Data published by one step ``n``: everything a per-shift update needs.
 
     ``lucky`` marks an invariant subspace; then ``beta == 0`` and ``v_next``
-    is the zero vector.
+    is the zero vector. ``v_next_norm`` is the 2-norm of ``v_next``, taken
+    as ``||v~|| / |beta_n|`` from the norm the step already computed (``0.0``
+    on lucky termination); it agrees with a direct norm of ``v_next`` to a
+    few units in the last place.
     """
 
     n: int
@@ -75,6 +80,7 @@ class LanczosStep:
     beta: complex
     v: np.ndarray
     v_next: np.ndarray
+    v_next_norm: float
     lucky: bool
 
 
@@ -116,10 +122,12 @@ def lanczos_step(
     beta_{n-1} v_{n-1}``, ``beta_n = (v~^T v~)^{1/2}`` (principal branch) and
     the normalized ``v_{n+1}``. ``v~`` is formed and normalized in place in
     the array the matvec returns, with the roundings of the expression
-    ``(A v_n - alpha_n v_n - beta_{n-1} v_{n-1}) / beta_n``. ``||v~||``, which
-    only feeds the termination and breakdown tests, is taken by BLAS
-    ``dznrm2`` (``dnrm2`` on a real basis), whose bits do not depend on the
-    BLAS thread count.
+    ``(A v_n - alpha_n v_n - beta_{n-1} v_{n-1}) * (1 / beta_n)`` on a
+    complex basis and ``(...) / beta_n`` on a real one. ``||v~||`` is taken
+    by BLAS ``dznrm2`` (``dnrm2`` on a real basis), whose bits do not depend
+    on the BLAS thread count; it feeds the termination and breakdown tests
+    and the published ``||v_{n+1}|| = ||v~|| / |beta_n|``, so no reader of
+    the step takes that norm again.
 
     Returns the step data and advances the state; each step's ``v_next`` is
     a new array, so the vectors of earlier steps stay as they were. On lucky
@@ -140,6 +148,7 @@ def lanczos_step(
     if vt_norm <= TERMINATION_TOL * state.bnorm2:
         beta = 0.0
         v_next = np.zeros_like(vt)
+        v_next_norm = 0.0
         lucky = True
         state.finished = True
     else:
@@ -149,8 +158,12 @@ def lanczos_step(
                 "bilinear", n, f"|v~^T v~| = {abs(vtvt):.3e} vs ||v~||^2 = {vt_norm**2:.3e}"
             )
         beta = principal_sqrt(vtvt)
-        vt /= beta
+        if vt.dtype.kind == "c":
+            vt *= 1.0 / beta  # NumPy divides complex arrays without SIMD
+        else:
+            vt /= beta
         v_next = vt
+        v_next_norm = vt_norm / abs(beta)
         lucky = False
     step = LanczosStep(
         n=n,
@@ -159,6 +172,7 @@ def lanczos_step(
         beta=beta,
         v=v,
         v_next=v_next,
+        v_next_norm=v_next_norm,
         lucky=lucky,
     )
     state.v_prev = v

@@ -484,14 +484,15 @@ def qmr_sym_omega_update(batch: ShiftBatch, step: LanczosStep, counter: FlopCoun
     """Rotation step on the row-scaled columns.
 
     The weights ``(omega_{n-1}, omega_n, omega_{n+1})`` are the 2-norms of
-    the corresponding basis vectors. On a complex basis the estimate vectors
+    the corresponding basis vectors; ``omega_{n+1}`` is the step's published
+    ``v_next_norm``. On a complex basis the estimate vectors
     track ``w~_{n+1} = -s_n w~_n + c_n v_{n+1} / omega_{n+1}`` so that
     ``|g_{n+1}| ||w~_{n+1}||`` equals the true residual norm; the factor
     ``1 / omega_{n+1}`` goes into the coefficient ``c_n``, so ``v_{n+1}`` is
     never copied. On a real basis that norm is one up to rounding and ``w~``
     is not formed.
     """
-    om_np1 = _norm2(step.v_next)
+    om_np1 = step.v_next_norm
     om_nm1, om_n = batch.omegas
     # omega_{n+1} vanishes only on lucky termination, where v_next is zero anyway
     scale = 1.0 / om_np1 if om_np1 > 0 else 1.0
@@ -540,12 +541,13 @@ def estimate_residual_qmr(batch: ShiftBatch) -> np.ndarray:
     return g if batch.W is None else g * batch.wnorm[: batch.na]
 
 
-def estimate_residual_qmr_b(batch: ShiftBatch, v_next: np.ndarray) -> np.ndarray:
+def estimate_residual_qmr_b(batch: ShiftBatch, v_next_norm: float) -> np.ndarray:
     """Residual 2-norm estimates ``|g~_{n+1}| * ||v_{n+1}||`` of the active
-    shifts for the bidiagonal-weight method; exactly ``|g~_{n+1}|`` on the
-    real path, where basis vectors have unit 2-norm."""
+    shifts for the bidiagonal-weight method, given the norm
+    ``LanczosStep.v_next_norm`` that the Lanczos step published; exactly
+    ``|g~_{n+1}|`` on the real path, where basis vectors have unit 2-norm."""
     g = _abs(batch.g[: batch.na])
-    return g if batch.real else g * _norm2(v_next)
+    return g if batch.real else g * v_next_norm
 
 
 def true_residual(A: SparseSymMatrix, sigma, b, x, counter: FlopCounter | None = None):
@@ -735,7 +737,7 @@ def solve_all(
                 break
             iterations = n
             update(batch, step, counter)
-            est = (estimate_residual_qmr_b(batch, step.v_next) if method in ("cocg", "qmr-sym-b")
+            est = (estimate_residual_qmr_b(batch, step.v_next_norm) if method in ("cocg", "qmr-sym-b")
                    else estimate_residual_qmr(batch))
             assembled = None
             # cocg checks the rows meeting the target by recurrence, a block at a time

@@ -93,6 +93,7 @@ class LanczosRecord:
     alphas: np.ndarray
     betas: np.ndarray
     vectors: np.ndarray  # shape (N, k+1): v_1 .. v_{k+1}
+    next_norms: np.ndarray  # each step's published v_next_norm: ||v_2|| .. ||v_{k+1}||
     g1: complex
     bnorm2: float
     lucky_step: int | None = None
@@ -110,13 +111,14 @@ def run_diagnostic(A: SparseSymMatrix, b, steps: int) -> LanczosRecord:
     """
     state = lanczos_init(A, b)
     vectors = [state.v_curr]
-    alphas, betas = [], []
+    alphas, betas, next_norms = [], [], []
     lucky_step = None
     for _ in range(steps):
         step = lanczos_step(state, A)
         alphas.append(step.alpha)
         betas.append(step.beta)
         vectors.append(step.v_next)
+        next_norms.append(step.v_next_norm)
         if step.lucky:
             lucky_step = step.n
             break
@@ -124,6 +126,7 @@ def run_diagnostic(A: SparseSymMatrix, b, steps: int) -> LanczosRecord:
         alphas=np.asarray(alphas),
         betas=np.asarray(betas),
         vectors=np.column_stack(vectors),
+        next_norms=np.asarray(next_norms),
         g1=state.g1,
         bnorm2=state.bnorm2,
         lucky_step=lucky_step,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shiftkrylov import BreakdownError, SparseSymMatrix
-from shiftkrylov.core import bilinear_dot, principal_sqrt, spmv
+from shiftkrylov.core import _norm2, bilinear_dot, principal_sqrt, spmv
 from shiftkrylov.lanczos import lanczos_init, lanczos_step
 
 from _reference import (
@@ -103,7 +103,15 @@ class TestStep:
             beta = principal_sqrt(bilinear_dot(vt, vt))
             assert not step.lucky
             assert complex(step.alpha) == complex(alpha) and complex(step.beta) == complex(beta)
-            assert step.v_next.dtype == vt.dtype and step.v_next.tobytes() == (vt / beta).tobytes()
+            # a complex basis is normalized by a multiply with 1 / beta, a real one by a division
+            expected = vt / beta if real else vt * (1 / beta)
+            assert step.v_next.dtype == vt.dtype and step.v_next.tobytes() == expected.tobytes()
+            # the published norm is ||v~|| / |beta|, a few ulps from the direct norm
+            norm = _norm2(step.v_next)
+            assert abs(step.v_next_norm - norm) <= 4 * np.spacing(norm)
+            # v^T v = 1 up to roundings that scale with sum |v_i|^2 = ||v||^2, not with 1
+            vtv_err = abs(bilinear_dot(step.v_next, step.v_next) - 1)
+            assert vtv_err <= 8 * np.finfo(np.float64).eps * step.v_next_norm**2
             assert not np.shares_memory(step.v_next, step.v)
             steps.append(step)
             copies.append((step.v.copy(), step.v_next.copy()))
@@ -198,3 +206,4 @@ class TestInvariants:
         rec = run_diagnostic(A, b, 10)
         assert rec.lucky_step == 3
         assert rec.steps == 3
+        assert rec.next_norms[-1] == 0.0

@@ -26,7 +26,7 @@ contiguous prefix of the rows. A method's update runs its scalar recurrence
 once per Lanczos step over that prefix and emits per shift the coefficients
 of ``p_n = v_n - a_n p_{n-1} - b_n p_{n-2}`` (``b_n = 0`` for the two-term
 methods) and ``x_n = x_{n-1} + d_n p_n``. It keeps ``v_n`` in a window of
-``c = max(1, _WINDOW_ELEMS // N)`` steps. When the window fills, one backward
+``c = max(8, _WINDOW_ELEMS // N)`` steps. When the window fills, one backward
 sweep over the coefficients expresses ``x`` and the carried directions in
 the window's basis vectors, and one GEMM per row block applies them (the
 deferred assembly of Frommer and Simoncini, "Matrix functions", *Model Order
@@ -49,12 +49,12 @@ threaded level-1 BLAS competed with NumPy's for the cores), and each row's
 norm (``dznrm2``) is taken in the same visit and kept for the estimate.
 ``cocg`` checks, a block at a time, each shift whose recurrence value meets
 the tolerance on its iterate, assembled without changing the batch. A
-callback needs live iterates: a window of one step, the streaming update
-``P = v - aP; X += dP`` in cache-sized row blocks. A recorded history only
-observes the values the deflation test reads. Every product rounds a
-shift's row independently of the rows computed with it (see the notes at
-the products), so a shift's results do not depend on which other shifts are
-solved with it.
+callback reads copies of the scalars and asks for iterates assembled the
+same way, and a recorded history keeps the values the deflation test reads:
+both only observe, and the solve has the same bits without them. Every
+product rounds a shift's row independently of the rows computed with it
+(see the notes at the products), so a shift's results do not depend on
+which other shifts are solved with it.
 """
 
 from __future__ import annotations
@@ -93,14 +93,18 @@ METHODS = ("cocg", "qmr-sym", "qmr-sym-b", "qmr-sym-omega")
 _LSQ_OPS_ROTATION = 26
 _LSQ_OPS_ELIMINATION = 8
 
-# Iterate entries per row block of the streaming updates, the explicit
-# residuals and the flush products: max(1, _BLOCK_ELEMS // N) shifts at a time
+# Iterate entries per row block of the explicit residuals and the flush
+# products: max(1, _BLOCK_ELEMS // N) shifts at a time
 # (fewer for a flush that also advances directions), which bounds the
 # temporaries to a few times this many complex entries.
 _BLOCK_ELEMS = 2**14
 
-# Basis entries per assembly window: c = max(1, _WINDOW_ELEMS // N) steps.
+# Basis entries per assembly window: c = max(_MIN_WINDOW, _WINDOW_ELEMS // N) steps.
 _WINDOW_ELEMS = 2**17
+# Steps per window at least, so that a long basis is not flushed every step
+# or every few: at N = 2^18 one-step windows made a solve 1.2 to 1.7 times as
+# slow as windows of 8 steps, which keep 8N basis entries.
+_MIN_WINDOW = 8
 # Steps per window at most. Beyond 384 steps OpenBLAS's dgemm splits the
 # inner dimension in its regular kernel but not in its small-matrix kernel,
 # so a row's bits would depend on how many rows share its product.
@@ -126,23 +130,22 @@ def _idle_core() -> bool:
 class ShiftBatch:
     """State of every shift of one solve, one row per shift.
 
-    ``window`` is the number of Lanczos steps assembled at once: one with
-    ``stream=True`` (``X`` live after every step), otherwise
-    ``min(max(1, _WINDOW_ELEMS // N), _MAX_WINDOW, max_iter)``; between
-    flushes ``X`` holds the iterates at the window's start. On a complex basis
+    ``window`` is the number of Lanczos steps assembled at once,
+    ``min(max(_MIN_WINDOW, _WINDOW_ELEMS // N), _MAX_WINDOW, max_iter)``;
+    between flushes ``X`` holds the iterates at the window's start and
+    :meth:`iterates` assembles the current ones. On a complex basis
     with ``N >= _BACKGROUND_N`` and an idle core (:func:`_idle_core`) a full
     window is flushed on one worker thread while the stream fills a second
     set of window buffers; every other reader or writer of ``X``/``P1``/``P2``
     first calls :meth:`wait`, and leaving a ``with`` block stops the worker.
     Rows ``:na`` are the active shifts, ``perm[r]`` is the shift in row ``r``
-    and ``row[l]`` the row of shift ``l``. With a window of several steps
-    ``P1``/``P2`` are ``None`` (zero) until the first carrying flush, then
-    have the ``na`` rows of that moment. ``bad`` marks the rows whose pivot
-    vanished at the last step (or is ``None``): they keep their previous
-    step's state.
+    and ``row[l]`` the row of shift ``l``. ``P1``/``P2`` are ``None`` (zero)
+    until the first carrying flush, then have the ``na`` rows of that
+    moment. ``bad`` marks the rows whose pivot vanished at the last step
+    (or is ``None``): they keep their previous step's state.
     """
 
-    def __init__(self, method, shifts, g1, v1, max_iter, stream=False, record_history=False):
+    def __init__(self, method, shifts, g1, v1, max_iter, record_history=False):
         self.sigma = np.array(shifts, dtype=np.complex128).ravel()
         m, n = len(self.sigma), len(v1)
         self.m, self.n, self.na = m, n, m
@@ -176,23 +179,18 @@ class ShiftBatch:
         self.status, self.failure = ["unconverged"] * m, [None] * m
         self.history = [[] for _ in range(m)] if record_history else None
         self.bad = None
-        self.window = 1 if stream else min(max(1, _WINDOW_ELEMS // n), _MAX_WINDOW, max_iter)
+        self.window = min(max(_MIN_WINDOW, _WINDOW_ELEMS // n), _MAX_WINDOW, max_iter)
         self.k = 0  # steps held in the window
-        # the directions are zero until a window carries them; a stream needs them at once
-        streamed = self.window == 1
-        self.P1 = np.zeros((m, n), dtype=np.complex128) if streamed else None
-        self.P2 = np.zeros((m, n), dtype=np.complex128) if streamed and rotation else None
-        self.Vw = self.Dw = self.Aw = self.Bw = None
-        if self.window > 1:
-            # columns padded to a multiple of 8: OpenBLAS's small dgemm
-            # kernel otherwise rounds a row by its position among the rows
-            self.Vw = np.zeros((self.window, -(-n // 8) * 8), dtype=v1.dtype)
-            # coefficient rows 0 and 1 stand for the carried p_{s-2}, p_{s-1};
-            # rows for 30 steps first, then _advance doubles them up to window + 2
-            shape = (min(self.window + 2, 32), m)
-            self.Dw, self.Aw = np.zeros(shape, complex), np.zeros(shape, complex)
-            self.Bw = np.zeros(shape, complex) if rotation else None
-        background = not self.real and self.window > 1 and n >= _BACKGROUND_N and _idle_core()
+        self.P1 = self.P2 = None  # the directions are zero until a window carries them
+        # columns padded to a multiple of 8: OpenBLAS's small dgemm
+        # kernel otherwise rounds a row by its position among the rows
+        self.Vw = np.zeros((self.window, -(-n // 8) * 8), dtype=v1.dtype)
+        # coefficient rows 0 and 1 stand for the carried p_{s-2}, p_{s-1};
+        # rows for 30 steps first, then _advance doubles them up to window + 2
+        shape = (min(self.window + 2, 32), m)
+        self.Dw, self.Aw = np.zeros(shape, complex), np.zeros(shape, complex)
+        self.Bw = np.zeros(shape, complex) if rotation else None
+        background = not self.real and n >= _BACKGROUND_N and _idle_core()
         # the worker thread starts at the first hand-off
         self._pool = ThreadPoolExecutor(max_workers=1) if background else None
         self._pending = self._spare = None
@@ -226,7 +224,7 @@ class ShiftBatch:
 
     def _advance(self, step, g_new, d, a, b, ops, lsq, counter):
         """Finish one step over the active prefix: freeze broken rows, charge
-        the updates, then stream them or store them in the window."""
+        the updates, then store them in the window."""
         na, n, bad = self.na, step.n, self.bad
         self.niter[:na] = n
         if bad is not None:
@@ -240,9 +238,6 @@ class ShiftBatch:
             updated = na if bad is None else na - int(bad.sum())
             counter.add_shift_update(ops * updated)
             counter.add_least_squares(lsq * updated)
-        if self.window == 1:
-            self._stream(step.v, d, a, b)
-            return
         k = self.k
         if k + 2 == len(self.Dw):  # coefficient rows full: double them, up to window + 2
             more = np.zeros((min(k + 2, self.window - k), self.m), complex)
@@ -269,23 +264,6 @@ class ShiftBatch:
         (self.Vw, self.Dw, self.Aw, self.Bw), self._spare = self._spare, full[1:]
         self.k = 0
         self._pending = self._pool.submit(self.flush, slice(0, self.na), True, None, full)
-
-    def _stream(self, v, d, a, b):
-        """Window of one: ``p = v - a p1 - b p2``, ``x += d p`` in row blocks."""
-        rb = max(1, _BLOCK_ELEMS // self.n)
-        for lo in range(0, self.na, rb):
-            r = slice(lo, min(self.na, lo + rb))
-            if b is None:
-                p = self.P1[r]
-                p *= -a[r, None]
-            else:  # p_n overwrites p_{n-2}; the two are swapped below
-                p = self.P2[r]
-                p *= -b[r, None]
-                p -= a[r, None] * self.P1[r]
-            p += v
-            self.X[r] += d[r, None] * p
-        if b is not None:
-            self.P1, self.P2 = self.P2, self.P1
 
     def flush(self, rows, carry: bool, into=None, window=None):
         """Add the window's steps to the iterates of ``rows`` (a slice or index
@@ -630,6 +608,23 @@ class SolveReport:
         return any(s == "breakdown" for s in self.status)
 
 
+def _observed(batch: ShiftBatch) -> SimpleNamespace:
+    """The ``state`` a callback gets (see :func:`solve_all`). A retired
+    shift's iterate is a copy of its row of ``X``: the window's coefficients
+    in its column were flushed into it when it retired."""
+    row = batch.row
+
+    def iterates(ells=None):
+        rows = row if ells is None else row[np.asarray(ells, dtype=np.intp)]
+        batch.wait()
+        X, live = batch.X[rows], rows < batch.na
+        X[live] = batch.iterates(rows[live])
+        return X
+
+    return SimpleNamespace(sigma=batch.sigma[row], g=batch.g[row], res=batch.res[row],
+                           niter=batch.niter[row], iterates=iterates)
+
+
 def _check_finite(values: np.ndarray, name: str):
     bad = np.flatnonzero(~np.isfinite(values))
     if len(bad):
@@ -673,11 +668,13 @@ def solve_all(
     counter : FlopCounter, optional
         Accumulates operation counts; a fresh counter is used if omitted.
     callback : callable, optional
-        Invoked after each iteration as ``callback(n, states)``, where
-        ``states[l]`` is a read-only view of shift ``l`` with its current
-        iterate ``x`` and its ``sigma``, ``g``, ``res`` (the value its history
-        holds) and ``niter``. A callback makes the solve assemble its iterates
-        at every step; ``true_residual`` of ``x`` gives an explicit series.
+        Invoked after each iteration ``n`` as ``callback(n, state)``:
+        ``state.sigma``, ``g``, ``res`` (the residual norm the deflation test
+        read) and ``niter`` are copies, in shift order, and during the call
+        ``state.iterates(ells)`` returns a new array of the current iterates
+        of the shifts ``ells`` (all by default), sweeping the current window
+        once for the active ones. The callback only observes: the results
+        have the same bits with or without it.
 
     Returns
     -------
@@ -717,7 +714,7 @@ def solve_all(
     lstate = lanczos_init(A, b_arr)
     bnorm = lstate.bnorm2
     with ShiftBatch(method, shifts.shifts, lstate.g1, lstate.v_curr, max_iter,
-                    callback is not None, record_history) as batch:
+                    record_history) as batch:
         target = tol * bnorm
         rb = max(1, _BLOCK_ELEMS // A.n)  # iterates cocg assembles and checks at a time
         # the starting residual is b itself (x_0 = 0); shifts already inside the
@@ -751,10 +748,8 @@ def solve_all(
                     good = est[r] <= target
                     batch.X[r[good]], assembled[r[good]] = X[good], True
             batch.record(n, est, target, bnorm, assembled)
-            if callback is not None:  # each shift's current row, in shift order
-                callback(n, [SimpleNamespace(x=batch.X[r], sigma=complex(batch.sigma[r]),
-                                             g=complex(batch.g[r]), res=float(batch.res[r]),
-                                             niter=int(batch.niter[r])) for r in batch.row])
+            if callback is not None:
+                callback(n, _observed(batch))
             if step.lucky:
                 lucky = True
                 break

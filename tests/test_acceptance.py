@@ -131,12 +131,12 @@ def test_criterion_2_estimate_fidelity():
             rows = []
             xmax = np.zeros(len(shifts))
 
-            def cb(k, states):
-                for idx, st in enumerate(states):
-                    if st.niter == k:  # every shift updated at this iteration
-                        xmax[idx] = max(xmax[idx], np.linalg.norm(st.x))
-                        tr = true_residual(A, st.sigma, b, st.x)
-                        rows.append((k, idx, st.res, tr, xmax[idx]))
+            def cb(k, state):
+                live = np.flatnonzero(state.niter == k)  # every shift updated at this iteration
+                for idx, x in zip(live, state.iterates(live)):
+                    xmax[idx] = max(xmax[idx], np.linalg.norm(x))
+                    tr = true_residual(A, state.sigma[idx], b, x)
+                    rows.append((k, idx, state.res[idx], tr, xmax[idx]))
 
             solve_all(A, b, shifts, method=method, tol=tol, max_iter=2 * n, callback=cb)
             for k, idx, est, tr, xm in rows:
@@ -189,8 +189,8 @@ def test_criterion_3_residual_equality_and_ordering():
         for method in TRIO:
             trues = []
 
-            def cb(k, states, acc=trues):
-                acc.append([true_residual(A, st.sigma, b, st.x) for st in states])
+            def cb(k, state, acc=trues):
+                acc.append(true_residual(A, state.sigma, b, state.iterates()))
 
             # unreachable tolerance: no deflation, so every method genuinely
             # iterates at every compared step
@@ -220,9 +220,8 @@ def test_criterion_4_real_arithmetic_path():
     counter = FlopCounter()
     checks = []
 
-    def cb(k, states):
-        for st in states:
-            checks.append((st.res, abs(st.g)))
+    def cb(k, state):
+        checks.extend((res, abs(complex(g))) for res, g in zip(state.res, state.g))
 
     rec = run_diagnostic(A, b, 10)
     vectors_real = rec.vectors.dtype == np.float64
@@ -255,7 +254,7 @@ def test_criterion_5_cost_formulas():
         counter = FlopCounter()
         marks = []
 
-        def cb(k, states, cnt=counter, acc=marks):
+        def cb(k, state, cnt=counter, acc=marks):
             acc.append(cnt.shift_update)
 
         solve_all(A, b, shifts, method=method, tol=1e-30, max_iter=3, counter=counter, callback=cb)

@@ -94,8 +94,8 @@ class TestBruteForceWqmr:
         rec = run_diagnostic(A, b, 10)
         snaps = []
 
-        def cb(n, states):
-            snaps.append(states[0].x.copy())
+        def cb(n, state):
+            snaps.append(state.iterates([0])[0])
 
         solve_all(A, b, [sigma], method="qmr-sym", tol=1e-16, max_iter=10, callback=cb)
         for n in range(1, rec.steps + 1):

@@ -120,14 +120,14 @@ class TestRotationUpdate:
     def test_three_four_five_rotation(self):
         # fresh state, first step: column scalars (t_nn, t_n+1,n) = (3, 4)
         v = np.array([1.0, 0.0])
-        st = ShiftBatch("qmr-sym", [0.0], 1.0, v, max_iter=1, stream=True)
+        st = ShiftBatch("qmr-sym", [0.0], 1.0, v, max_iter=1)
         qmr_sym_update(st, one_step(3.0, 4.0, v, np.array([0.0, 1.0])))
         c, s = st.c1[0], st.s1[0]
         assert abs(c - 0.6) <= 1e-15
         assert abs(s - 0.8) <= 1e-15  # real data: s == sbar
         assert abs(st.diag1[0] - 5.0) <= 1e-15
         assert abs(st.g[0] - (-0.8)) <= 1e-15  # g_{n+1} = -sbar * g_n
-        # x_1 = (c*g / t) p_1 with p_1 = v_1
+        # x_1 = (c*g / t) p_1 with p_1 = v_1, assembled at the end of the one-step window
         assert np.allclose(st.X[0], (0.6 / 5.0) * v.astype(complex), rtol=1e-15)
 
     def test_scalar_system_solved_in_one_step(self):
@@ -168,7 +168,7 @@ class TestRotationUpdate:
         # sigma = -alpha_1 makes t_{1,1} exactly zero at step 1
         A = sparse_from(np.diag([2.0, 3.0]))
         v = np.array([1.0, 0.0])
-        st = ShiftBatch("qmr-sym", [-2.0], 1.0, v, max_iter=1, stream=True)
+        st = ShiftBatch("qmr-sym", [-2.0], 1.0, v, max_iter=1)
         qmr_sym_update(st, one_step(2.0, 1.0, v, np.array([0.0, 1.0])))
         assert list(st.bad) == [True] and st.niter[0] == 0
         assert st.failure[0].startswith("rotation breakdown at step 1")
@@ -177,7 +177,7 @@ class TestRotationUpdate:
 class TestEliminationUpdate:
     def test_elimination_scalars(self):
         v = np.array([1.0, 0.0])
-        st = ShiftBatch("qmr-sym-b", [0.0], 1.0, v, max_iter=1, stream=True)
+        st = ShiftBatch("qmr-sym-b", [0.0], 1.0, v, max_iter=1)
         qmr_sym_b_update(st, one_step(2.0, 1.0, v, np.array([0.0, 1.0])))
         assert st.f[0] == -0.5
         assert st.g[0] == -0.5  # g~_{n+1} = f_n g~_n
@@ -198,8 +198,8 @@ class TestEliminationUpdate:
 
         step_true = {m: [] for m in ("qmr-sym-b", "cocg")}
         for method in step_true:
-            def cb(n, states, acc=step_true[method]):
-                acc.append([true_residual(A, st.sigma, b, st.x) for st in states])
+            def cb(n, state, acc=step_true[method]):
+                acc.append(true_residual(A, state.sigma, b, state.iterates()))
 
             x, rep = solve_all(A, b, shifts, method=method, tol=1e-14, max_iter=16, callback=cb)
             oracle = DenseOracle(M)
@@ -220,10 +220,11 @@ class TestEliminationUpdate:
         bnorm = np.linalg.norm(b)
         sigma = 0.2 + 0.3j
         rec = run_diagnostic(A, b, 10)
-        st = ShiftBatch("qmr-sym-b", [sigma], rec.g1, rec.vectors[:, 0], 10, stream=True)
+        st = ShiftBatch("qmr-sym-b", [sigma], rec.g1, rec.vectors[:, 0], 10)
         for k, step in enumerate(steps_of(rec)):
             qmr_sym_b_update(st, step)
-            r_vec = b - M @ st.X[0] - sigma * st.X[0]
+            x = st.iterates([0])[0]
+            r_vec = b - M @ x - sigma * x
             predicted = st.g[0] * rec.vectors[:, k + 1]
             assert np.max(np.abs(r_vec - predicted)) <= 1e-10 * bnorm
 
@@ -249,8 +250,8 @@ class TestGalerkinBaseline:
         b = rng.standard_normal(14)
         snapshots = []
 
-        def cb(n, states):
-            snapshots.append(states[0].x.copy())
+        def cb(n, state):
+            snapshots.append(state.iterates([0])[0])
 
         solve_all(A, b, [0.0], method="cocg", tol=1e-14, max_iter=14, callback=cb)
         cg_iters = reference_cg(M, b, len(snapshots))
@@ -265,8 +266,8 @@ class TestGalerkinBaseline:
         shifts = [0.1 + 0.2j, 0.4 + 0.1j, 0.9 + 0.05j, 1.5 + 0.3j]
         snaps = {"qmr-sym-b": [], "cocg": []}
         for method, acc in snaps.items():
-            def cb(n, states, acc=acc):
-                acc.append([st.x.copy() for st in states])
+            def cb(n, state, acc=acc):
+                acc.append(state.iterates())
 
             solve_all(A, b, shifts, method=method, tol=1e-14, max_iter=12, callback=cb)
         for xb_all, xc_all in zip(*snaps.values()):
@@ -296,13 +297,13 @@ class TestBlockResidual:
         assert A.is_real == real
         frozen = []
 
-        def cb(n, states):
-            for st in states:
-                # the recurrence value, or the explicit residual where the
-                # shift was checked: here within a few ulps of ||b|| = 1 of
-                # the explicit residual of the streamed iterate
-                assert abs(st.res - true_residual(A, st.sigma, b, st.x)) <= 4 * EPS
-            frozen.append(states[0].res)
+        def cb(n, state):
+            # the recurrence value, or the explicit residual where the shift
+            # was checked: here within a few ulps of ||b|| = 1 of the
+            # explicit residual of the current iterate
+            explicit = true_residual(A, state.sigma, b, state.iterates())
+            assert np.all(np.abs(state.res - explicit) <= 4 * EPS)
+            frozen.append(state.res[0])
 
         x, rep = solve_all(A, b, self.FAMILY, method="cocg", tol=1e-12, callback=cb)
         assert rep.iterations > 10
@@ -330,24 +331,6 @@ class TestBlockResidual:
                                true_residuals=final_pass, record_history=True)
             assert list(rep.iters) == list(win.iters) and rep.status == win.status
             assert counter_h == counter
-
-    @pytest.mark.parametrize("real", [True, False])
-    def test_cocg_shift_alone_equals_shift_in_family(self, real):
-        # N = 512 puts 32 shifts in one block; as neighbours deflate, shift 77
-        # shares its block with different shifts from step to step. Solved on
-        # the window, then streamed by a callback: a window of one step, whose
-        # explicit residuals are taken of the live iterates
-        A = generate_hamiltonian_analog(512, 8, seed=5, real=real)
-        b = e1(512)
-        family = 0.3 + 0.004 * np.arange(130) + 0.002j
-        for callback in (None, lambda n, states: None):
-            kw = dict(method="cocg", tol=1e-12, record_history=True, callback=callback)
-            _, fam = solve_all(A, b, family, **kw)
-            _, solo = solve_all(A, b, family[77:78], **kw)
-            assert len(set(fam.iters)) > 1
-            assert fam.history[77] == solo.history[0]
-            assert fam.iters[77] == solo.iters[0]
-            assert fam.final_rel_estimate[77] == solo.final_rel_estimate[0]
 
     @pytest.mark.parametrize("real_matrix", [True, False])
     @pytest.mark.parametrize("real_block", [True, False])
@@ -432,12 +415,15 @@ class TestVerifiedDeflation:
         A = generate_hamiltonian_analog(512, 8, seed=5, real=real)
         b = e1(512)
         family = 0.3 + 0.004 * np.arange(130) + 0.002j
-        x, fam = solve_all(A, b, family, method="cocg", tol=1e-12)
-        xs, solo = solve_all(A, b, family[77:78], method="cocg", tol=1e-12)
-        # shift 77 is checked together with neighbours that deflate at other steps
+        kw = dict(method="cocg", tol=1e-12, record_history=True)
+        x, fam = solve_all(A, b, family, **kw)
+        xs, solo = solve_all(A, b, family[77:78], **kw)
+        # N = 512 puts 32 shifts in one residual block: shift 77 is checked
+        # together with neighbours that deflate at other steps
         assert len(set(fam.iters)) > 1 and np.sum(fam.iters == fam.iters[77]) > 1
         assert fam.iters[77] == solo.iters[0]
         assert np.array_equal(x[77], xs[0])
+        assert fam.history[77] == solo.history[0]
         assert fam.final_rel_estimate[77] == solo.final_rel_estimate[0]
 
     @pytest.mark.parametrize("real", [True, False])
@@ -447,10 +433,10 @@ class TestVerifiedDeflation:
         _, rec = solve_all(A, b, shifts, method="qmr-sym-b", tol=1e-300, max_iter=40,
                            record_history=True)
         rec = [value for _, value in rec.history[0]]
-        exp = []  # the explicit residual of each step's streamed iterate
+        exp = []  # the explicit residual of each step's iterate
 
-        def explicit(n, states):
-            exp.append(true_residual(A, states[0].sigma, b, states[0].x))
+        def explicit(n, state):
+            exp.append(true_residual(A, state.sigma[0], b, state.iterates([0])[0]))
 
         solve_all(A, b, shifts, method="cocg", tol=1e-300, max_iter=40, callback=explicit)
         # a step whose explicit residual is the first to meet a target its
@@ -524,9 +510,8 @@ class TestResidualEstimates:
         b = rng.standard_normal(20)
         checks = []
 
-        def cb(n, states):
-            for st in states:
-                checks.append((st.res, abs(st.g)))
+        def cb(n, state):
+            checks.extend((res, abs(complex(g))) for res, g in zip(state.res, state.g))
 
         solve_all(A, b, [0.2 + 0.4j, 0.8 + 0.1j], method="qmr-sym", tol=1e-13, callback=cb)
         assert checks
@@ -539,9 +524,8 @@ class TestResidualEstimates:
         b = rng.standard_normal(20)
         checks = []
 
-        def cb(n, states):
-            for st in states:
-                checks.append((st.res, abs(st.g)))
+        def cb(n, state):
+            checks.extend((res, abs(complex(g))) for res, g in zip(state.res, state.g))
 
         solve_all(A, b, [0.3 + 0.2j], method="qmr-sym-b", tol=1e-13, callback=cb)
         for est, g in checks:
@@ -577,11 +561,11 @@ class TestResidualEstimates:
         rows = []
         xmax = np.zeros(len(shifts))
 
-        def cb(k, states):
-            for i, st in enumerate(states):
-                if st.niter == k:  # every shift updated at this iteration
-                    xmax[i] = max(xmax[i], np.linalg.norm(st.x))
-                    rows.append((k, i, st.res, true_residual(A, st.sigma, b, st.x), xmax[i]))
+        def cb(k, state):
+            live = np.flatnonzero(state.niter == k)  # every shift updated at this iteration
+            for i, x in zip(live, state.iterates(live)):
+                xmax[i] = max(xmax[i], np.linalg.norm(x))
+                rows.append((k, i, state.res[i], true_residual(A, state.sigma[i], b, x), xmax[i]))
 
         _, rep = solve_all(A, b, shifts, method=method, tol=tol, max_iter=2 * n, callback=cb)
         assert rep.all_converged and rep.iterations > n
@@ -607,9 +591,8 @@ class TestResidualEstimates:
         sigma = 0.25 + 0.15j
         rows = []
 
-        def cb(n, states):
-            st = states[0]
-            rows.append((st.res, true_residual(A, sigma, b, st.x)))
+        def cb(n, state):
+            rows.append((state.res[0], true_residual(A, sigma, b, state.iterates([0])[0])))
 
         solve_all(A, b, [sigma], method=method, tol=1e-14, max_iter=12, callback=cb)
         assert len(rows) >= 10
@@ -624,13 +607,13 @@ class TestResidualEstimates:
         b = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         rec = run_diagnostic(A, b, 3)
         v1 = rec.vectors[:, 0]
-        stq = ShiftBatch("qmr-sym", [0.5j], rec.g1, v1, 3, stream=True)
-        stb = ShiftBatch("qmr-sym-b", [0.5j], rec.g1, v1, 3, stream=True)
+        stq = ShiftBatch("qmr-sym", [0.5j], rec.g1, v1, 3)
+        stb = ShiftBatch("qmr-sym-b", [0.5j], rec.g1, v1, 3)
         for step in steps_of(rec):
             qmr_sym_update(stq, step)
             qmr_sym_b_update(stb, step)
-            tq = true_residual(A, 0.5j, b, stq.X[0])
-            tb = true_residual(A, 0.5j, b, stb.X[0])
+            tq = true_residual(A, 0.5j, b, stq.iterates([0])[0])
+            tb = true_residual(A, 0.5j, b, stb.iterates([0])[0])
             assert abs(estimate_residual_qmr(stq)[0] - tq) <= 1e-10 * tq
             assert abs(estimate_residual_qmr_b(stb, step.v_next_norm)[0] - tb) <= 1e-10 * tb
 
@@ -731,8 +714,8 @@ class TestOmegaVariant:
         assert abs(omegas[1] - 1.0) > 1e-6  # weights genuinely differ from 1
         snaps = []
 
-        def cb(n, states):
-            snaps.append(states[0].x.copy())
+        def cb(n, state):
+            snaps.append(state.iterates([0])[0])
 
         solve_all(A, b, [sigma], method="qmr-sym-omega", tol=1e-16, max_iter=6, callback=cb)
         for n in range(1, 7):
@@ -781,8 +764,8 @@ class TestDriver:
         for method in ("qmr-sym", "qmr-sym-b", "cocg"):
             trues = []
 
-            def cb(n, states, acc=trues):
-                acc.append([true_residual(A, st.sigma, b, st.x) for st in states])
+            def cb(n, state, acc=trues):
+                acc.append(true_residual(A, state.sigma, b, state.iterates()))
 
             solve_all(A, b, shifts, method=method, tol=1e-15, max_iter=24, callback=cb)
             per_method[method] = trues
@@ -938,6 +921,85 @@ class TestDriver:
             solve_all(A, np.ones(2), [0.5], tol=tol)
 
 
+class TestCallback:
+    """``callback(n, state)`` reads copies of the per-shift scalars and asks
+    for iterates; the solve has the same bits with or without it. Here with
+    a breakdown (``cocg``, ``qmr-sym-b``), deflations at several steps and
+    shifts left unconverged by ``max_iter``."""
+
+    FAMILY = TestBlockResidual.FAMILY
+
+    @classmethod
+    def solve(cls, A, b, method, callback=None):
+        counter = FlopCounter()
+        x, rep = solve_all(A, b, cls.FAMILY, method=method, tol=1e-12, max_iter=12,
+                           record_history=True, counter=counter, callback=callback)
+        return x, rep, counter
+
+    @staticmethod
+    def assert_same(run, ref):
+        (x, rep, counter), (x0, rep0, counter0) = run, ref
+        assert np.array_equal(x, x0)
+        assert np.array_equal(rep.iters, rep0.iters)
+        assert rep.status == rep0.status and rep.failure == rep0.failure
+        assert np.array_equal(rep.final_rel_estimate, rep0.final_rel_estimate)
+        assert rep.history == rep0.history
+        assert vars(counter) == vars(counter0) and rep.flops == rep0.flops
+
+    # c = 5: directions carried from step 5 on; None: the default window
+    @pytest.mark.parametrize("c", [5, None])
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_callback_is_a_pure_observer(self, monkeypatch, method, real, c):
+        if c is not None:
+            TestWindowEngine.window(monkeypatch, c, 600)
+        A, b = pivot_zero_banded(600, real)
+        m, steps = len(self.FAMILY), []
+
+        def reader(n, state):  # reads the scalars and writes into its copies
+            assert all(arr.shape == (m,) for arr in (state.sigma, state.g, state.res, state.niter))
+            assert np.array_equal(state.sigma, self.FAMILY) and state.niter.max() == n
+            steps.append(n)
+            for arr in (state.sigma, state.g, state.res, state.niter):
+                arr[:] = 0
+
+        ref = self.solve(A, b, method)
+        run = self.solve(A, b, method, reader)
+        assert steps == list(range(1, 13))
+        assert "unconverged" in ref[1].status and "converged" in ref[1].status
+        self.assert_same(run, ref)
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_iterates_contract(self, monkeypatch, method, real):
+        TestWindowEngine.window(monkeypatch, 5, 600)
+        A, b = pivot_zero_banded(600, real)
+        m = len(self.FAMILY)
+        subset = np.arange(m)[::-3]  # every third shift, last first
+        snaps = []
+
+        def requester(n, state):
+            X = state.iterates()
+            assert X.shape == (m, 600) and X.dtype == np.complex128
+            assert np.array_equal(state.iterates(subset), X[subset])
+            single = np.concatenate([state.iterates([ell]) for ell in range(m)])
+            assert np.array_equal(single, X)
+            snaps.append(X.copy())
+            X[:] = np.nan  # the array is the caller's: writing into it changes nothing
+
+        ref = self.solve(A, b, method)
+        run = self.solve(A, b, method, requester)
+        self.assert_same(run, ref)
+        x, rep, _ = run
+        # a shift's iterate is its solution from the step it retires at on,
+        # one step after its last update for a breakdown; at the last step for all
+        for ell, status in enumerate(rep.status):
+            retired = {"converged": rep.iters[ell], "breakdown": rep.iters[ell] + 1,
+                       "unconverged": rep.iterations}[status]
+            assert all(np.array_equal(X[ell], x[ell]) for X in snaps[retired - 1 :])
+        assert "breakdown" in rep.status or method in ("qmr-sym", "qmr-sym-omega")
+
+
 class TestCostAccounting:
     def test_update_op_counts_are_exact(self):
         n, m = 32, 5
@@ -955,7 +1017,7 @@ class TestCostAccounting:
             counter = FlopCounter()
             marks = []
 
-            def cb(k, states, cnt=counter, acc=marks):
+            def cb(k, state, cnt=counter, acc=marks):
                 acc.append(cnt.shift_update)
 
             solve_all(
@@ -989,14 +1051,20 @@ class TestCostAccounting:
 
 class TestWindowEngine:
     """Deferred assembly: ``c`` Lanczos steps per window, one GEMM per row
-    block. ``_WINDOW_ELEMS = c * N`` sets the window to ``c`` steps; ``c = 1``
-    is the streaming update."""
+    block. ``_WINDOW_ELEMS = c * N`` with ``_MIN_WINDOW = 1`` sets the window
+    to ``c`` steps; ``c = 1`` flushes the window at every step."""
 
     RECURRENCES = ("qmr-sym", "qmr-sym-b", "qmr-sym-omega")
 
     @staticmethod
-    def solve(monkeypatch, c, A, b, shifts, method, **kw):
-        monkeypatch.setattr(solvers, "_WINDOW_ELEMS", c * A.n)
+    def window(monkeypatch, c, n):
+        """Make every window at ``N = n`` ``c`` steps long."""
+        monkeypatch.setattr(solvers, "_WINDOW_ELEMS", c * n)
+        monkeypatch.setattr(solvers, "_MIN_WINDOW", 1)
+
+    @classmethod
+    def solve(cls, monkeypatch, c, A, b, shifts, method, **kw):
+        cls.window(monkeypatch, c, A.n)
         return solve_all(A, b, shifts, method=method, **kw)
 
     @staticmethod
@@ -1006,7 +1074,7 @@ class TestWindowEngine:
 
     @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("method", METHODS)
-    def test_window_sizes_agree_with_streaming(self, monkeypatch, method, real):
+    def test_window_sizes_agree_with_one_step_windows(self, monkeypatch, method, real):
         A, b = pivot_zero_banded(80, real)
         shifts = [0.0] + [0.3 + 0.15 * ell + 0.05j for ell in range(9)]
         x1, rep1 = self.solve(monkeypatch, 1, A, b, shifts, method, tol=1e-11)
@@ -1016,6 +1084,13 @@ class TestWindowEngine:
             assert list(rep.iters) == list(rep1.iters)
             assert rep.status == rep1.status
             self.assert_close(x, x1)
+
+    def test_long_basis_keeps_windows_of_eight_steps(self):
+        # _WINDOW_ELEMS // N is 0 from N = 2^18 on: the window keeps 8 steps
+        # unless max_iter is shorter
+        v1 = e1(2**18)
+        assert ShiftBatch("qmr-sym", [0.5j], 1.0, v1, 2 * len(v1)).window == 8
+        assert ShiftBatch("qmr-sym", [0.5j], 1.0, v1, 3).window == 3
 
     @pytest.mark.parametrize("method", RECURRENCES)
     def test_deflation_on_a_window_boundary(self, monkeypatch, method):
@@ -1076,7 +1151,7 @@ class TestWindowEngine:
         A = generate_hamiltonian_analog(n, 8, seed=5, real=real)
         b = e1(n)
         if c is not None:
-            monkeypatch.setattr(solvers, "_WINDOW_ELEMS", c * n)
+            self.window(monkeypatch, c, n)
         # shifts per row block of a window flush, which assembles x and one or
         # two directions per shift
         targets = 2 if method == "qmr-sym-b" else 3
@@ -1092,21 +1167,19 @@ class TestWindowEngine:
         assert fam.history[pick] == solo.history[0]
         assert fam.final_rel_estimate[pick] == solo.final_rel_estimate[0]
 
-    @pytest.mark.parametrize("stream", [False, True])
+    @pytest.mark.parametrize("c", [7, None])
     @pytest.mark.parametrize("n", [601, 603])
     @pytest.mark.parametrize("method", ["qmr-sym", "qmr-sym-omega"])
-    def test_odd_length_complex_rows_round_alike_in_any_family(self, monkeypatch, method, n,
-                                                                stream):
+    def test_odd_length_complex_rows_round_alike_in_any_family(self, monkeypatch, method, n, c):
         # w is updated and measured one row at a time by BLAS; with N odd a
         # row's start is 16 bytes off a 32-byte boundary in every other row,
-        # and the picked shift sits in an odd row of the family, in row 0 alone
+        # and the picked shift sits in an odd row of the family, in row 0 alone;
+        # windows of 7 steps, or the default one that outlasts the solve
         A = generate_hamiltonian_analog(n, 8, seed=5, real=False)
         b = e1(n)
         kw = dict(method=method, tol=1e-12, record_history=True)
-        if stream:
-            kw["callback"] = lambda n, states: None
-        else:
-            monkeypatch.setattr(solvers, "_WINDOW_ELEMS", 7 * n)
+        if c is not None:
+            self.window(monkeypatch, c, n)
         family = 0.7 - 0.05 * np.arange(9) + 0.002j  # the last ones converge last
         pick = 7
         x, fam = solve_all(A, b, family, **kw)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 from scipy.linalg.blas import dnrm2, dznrm2
+from scipy.sparse._sparsetools import csr_matvec
 
 __all__ = [
     "BreakdownError",
@@ -84,6 +85,7 @@ def principal_sqrt(z):
 # Entries per BLAS dot product: below OpenBLAS's threading bound of 10,000
 # entries, so each chunk rounds the same way whatever the thread count.
 _DOT_CHUNK = 8192
+_FIRST = np.zeros(1, dtype=np.intp)  # the one segment of a whole-array reduceat
 
 
 def _norm2(x) -> float:
@@ -101,7 +103,7 @@ def _sum_all(values: np.ndarray):
     """Whole-array sum routed through the float64 reduction kernel."""
     if values.size == 0:
         return 0.0
-    return float(np.add.reduceat(values, [0])[0])
+    return float(np.add.reduceat(values, _FIRST)[0])
 
 
 def bilinear_dot(u, v):
@@ -275,13 +277,20 @@ def _csr_product(A: SparseSymMatrix, X) -> np.ndarray:
     the product stays in real arithmetic: its real and imaginary parts are
     bitwise the products of ``X.real`` and ``X.imag``. Each row sums its
     products in stored column order, for every column alike, so a column's
-    result does not depend on the other columns of ``X``.
+    result does not depend on the other columns of ``X``. A vector of the
+    matrix's dtype goes straight to SciPy's ``csr_matvec``, the kernel that
+    ``csr @ x`` runs, without its dispatch.
     """
     X = np.ascontiguousarray(X, dtype=np.result_type(X, np.float64))
+    csr = A.csr
+    if X.shape == (A.n,) and X.dtype == csr.dtype:
+        out = np.zeros(A.n, dtype=X.dtype)  # the kernel adds each row's products to it
+        csr_matvec(A.n, A.n, csr.indptr, csr.indices, csr.data, X, out)
+        return out
     if A.is_real and X.dtype.kind == "c":
-        R = A.csr @ X.view(np.float64).reshape(A.n, -1)
+        R = csr @ X.view(np.float64).reshape(A.n, -1)
         return R.view(np.complex128).reshape(X.shape)
-    return A.csr @ X
+    return csr @ X
 
 
 def spmv(A: SparseSymMatrix, v, counter: "FlopCounter | None" = None) -> np.ndarray:

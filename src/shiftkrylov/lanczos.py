@@ -22,6 +22,7 @@ serious breakdown of the bilinear pairing and aborts the process.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,15 +64,15 @@ class LanczosState:
     finished: bool = False
 
 
-@dataclass(frozen=True)
-class LanczosStep:
+class LanczosStep(NamedTuple):
     """Data published by one step ``n``: everything a per-shift update needs.
 
     ``lucky`` marks an invariant subspace; then ``beta == 0`` and ``v_next``
     is the zero vector. ``v_next_norm`` is the 2-norm of ``v_next``, taken
     as ``||v~|| / |beta_n|`` from the norm the step already computed (``0.0``
     on lucky termination); it agrees with a direct norm of ``v_next`` to a
-    few units in the last place.
+    few units in the last place. A named tuple: immutable like a frozen
+    dataclass, and built by keyword or position at a fraction of its cost.
     """
 
     n: int
@@ -165,16 +166,7 @@ def lanczos_step(
         v_next = vt
         v_next_norm = vt_norm / abs(beta)
         lucky = False
-    step = LanczosStep(
-        n=n,
-        alpha=alpha,
-        beta_prev=state.beta_prev,
-        beta=beta,
-        v=v,
-        v_next=v_next,
-        v_next_norm=v_next_norm,
-        lucky=lucky,
-    )
+    step = LanczosStep(n, alpha, state.beta_prev, beta, v, v_next, v_next_norm, lucky)
     state.v_prev = v
     state.v_curr = v_next
     state.beta_prev = beta

@@ -26,35 +26,36 @@ contiguous prefix of the rows. A method's update runs its scalar recurrence
 once per Lanczos step over that prefix and emits per shift the coefficients
 of ``p_n = v_n - a_n p_{n-1} - b_n p_{n-2}`` (``b_n = 0`` for the two-term
 methods) and ``x_n = x_{n-1} + d_n p_n``. It keeps ``v_n`` in a window of
-``c = max(8, _WINDOW_ELEMS // N)`` steps. When the window fills, one backward
-sweep over the coefficients expresses ``x`` and the carried directions in
-the window's basis vectors, and one GEMM per row block applies them (the
-deferred assembly of Frommer and Simoncini, "Matrix functions", *Model Order
-Reduction*, 2008). A shift that deflates or breaks down is assembled the
-same way at once, the others at the end, and ``X`` is put in shift order in
-place. The directions are zero until a window carries them, and are only
-made then, so memory is ``O(mN + cN + cm)`` with one ``m x N`` array when
-every shift deflates within a window; the coefficient rows grow with the
-window's steps. On a complex basis with ``N >= 8192`` (windows of at most
-16 steps), on two cores with OpenBLAS told to use one thread, each full
+``c = max(8, _WINDOW_ELEMS // N)`` steps. When the window fills, one
+backward sweep over the coefficients expresses ``x`` and the carried
+directions in the window's basis vectors, and one GEMM per row block applies
+them (the deferred assembly of Frommer and Simoncini, "Matrix functions",
+*Model Order Reduction*, 2008). A shift that deflates or breaks down keeps
+its coefficients, zero after its last step, and is assembled with the next
+window flush, or at the end with the others; ``X`` is then put in shift
+order in place. The directions are zero until a window carries them, and are
+only made then, so memory is ``O(mN + cN + cm)`` with one ``m x N`` array
+when every shift deflates within a window; the coefficient rows grow with
+the window's steps. On a complex basis with ``N >= 8192`` (windows of at
+most 16 steps), on two cores with OpenBLAS told to use one thread, each full
 window is flushed on one worker thread while the stream fills a second set
 of window buffers, so the per-shift GEMMs run beside the Lanczos stream;
 whatever else reads or writes ``X`` or the directions first waits for that
 flush, which runs the same code and gives the same bits. A real basis, a
 shorter one and threaded BLAS keep the flush in the stream's thread: on a
 real basis the hand-off measured no gain, and with threaded BLAS a loss
-(BLAS's own threads then hold the second core). ``W`` is updated one row at a time in place by
-NumPy (``w *= -s``, then ``w += c v`` through one reused buffer; SciPy's
-threaded level-1 BLAS competed with NumPy's for the cores), and each row's
-norm (``dznrm2``) is taken in the same visit and kept for the estimate.
-``cocg`` checks, a block at a time, each shift whose recurrence value meets
-the tolerance on its iterate, assembled without changing the batch. A
-callback reads copies of the scalars and asks for iterates assembled the
-same way, and a recorded history keeps the values the deflation test reads:
-both only observe, and the solve has the same bits without them. Every
-product rounds a shift's row independently of the rows computed with it
-(see the notes at the products), so a shift's results do not depend on
-which other shifts are solved with it.
+(BLAS's own threads then hold the second core). ``W`` is updated one row at
+a time in place by NumPy (``w *= -s``, then ``w += c v`` through one reused
+buffer; SciPy's threaded level-1 BLAS competed with NumPy's for the cores),
+and each row's norm (``dznrm2``) is taken in the same visit and kept for the
+estimate. ``cocg`` checks, a block at a time, each shift whose recurrence
+value meets the tolerance on its iterate, assembled without changing the
+batch. A callback reads copies of the scalars and asks for iterates
+assembled the same way, and a recorded history keeps the values the
+deflation test reads: both only observe, and the solve has the same bits
+without them. Every product rounds a shift's row independently of the rows
+computed with it (see the notes at the products), so a shift's results do
+not depend on which other shifts are solved with it.
 """
 
 from __future__ import annotations
@@ -133,16 +134,18 @@ class ShiftBatch:
     ``window`` is the number of Lanczos steps assembled at once,
     ``min(max(_MIN_WINDOW, _WINDOW_ELEMS // N), _MAX_WINDOW, max_iter)``;
     between flushes ``X`` holds the iterates at the window's start and
-    :meth:`iterates` assembles the current ones. On a complex basis
-    with ``N >= _BACKGROUND_N`` and an idle core (:func:`_idle_core`) a full
-    window is flushed on one worker thread while the stream fills a second
-    set of window buffers; every other reader or writer of ``X``/``P1``/``P2``
-    first calls :meth:`wait`, and leaving a ``with`` block stops the worker.
-    Rows ``:na`` are the active shifts, ``perm[r]`` is the shift in row ``r``
-    and ``row[l]`` the row of shift ``l``. ``P1``/``P2`` are ``None`` (zero)
-    until the first carrying flush, then have the ``na`` rows of that
-    moment. ``bad`` marks the rows whose pivot vanished at the last step
-    (or is ``None``): they keep their previous step's state.
+    :meth:`iterates` assembles the current ones. On a complex basis with
+    ``N >= _BACKGROUND_N`` and an idle core (:func:`_idle_core`) a full window
+    is flushed on one worker thread while the stream fills a second set of
+    window buffers; every other reader or writer of ``X``/``P1``/``P2`` first
+    calls :meth:`wait`, and leaving a ``with`` block stops the worker. Rows
+    ``:na`` are the active shifts, and the ``pending`` rows after them retired
+    within the window and are assembled when it is flushed (their coefficients
+    after their last step are zero); ``perm[r]`` is the shift in row ``r`` and
+    ``row[l]`` the row of shift ``l``. ``P1``/``P2`` are ``None`` (zero) until
+    the first carrying flush, then have the ``na`` rows of that moment.
+    ``bad`` marks the rows whose pivot vanished at the last step (or is
+    ``None``): they keep their previous step's state.
     """
 
     def __init__(self, method, shifts, g1, v1, max_iter, record_history=False):
@@ -193,7 +196,8 @@ class ShiftBatch:
         background = not self.real and n >= _BACKGROUND_N and _idle_core()
         # the worker thread starts at the first hand-off
         self._pool = ThreadPoolExecutor(max_workers=1) if background else None
-        self._pending = self._spare = None
+        self._job = self._spare = None
+        self.pending = 0
 
     def __enter__(self):
         return self
@@ -205,152 +209,158 @@ class ShiftBatch:
     def wait(self):
         """Wait for the window flushing on the worker, if any, and raise its
         error here; ``X``, ``P1`` and ``P2`` are then the caller's again."""
-        pending, self._pending = self._pending, None
-        if pending is not None:
-            pending.result()
+        job, self._job = self._job, None
+        if job is not None:
+            job.result()
 
     def _pivots(self, t, n, kind, what):
         """Mark the rows with a zero pivot ``t`` as broken down at step ``n``
         and return ``t`` with those pivots replaced by one."""
-        bad = t == 0
-        if not bad.any():
+        if np.count_nonzero(t) == len(t):
             self.bad = None
             return t
+        bad = t == 0
         for r in np.flatnonzero(bad):
             sigma = complex(self.sigma[r])
             self.failure[self.perm[r]] = str(BreakdownError(kind, n, f"{what} for shift {sigma}"))
         self.bad = bad
         return np.where(bad, 1.0, t)
 
-    def _advance(self, step, g_new, d, a, b, ops, lsq, counter):
-        """Finish one step over the active prefix: freeze broken rows, charge
-        the updates, then store them in the window."""
-        na, n, bad = self.na, step.n, self.bad
-        self.niter[:na] = n
-        if bad is not None:
-            for coef in (d, a, b):
-                if coef is not None:
-                    coef[bad] = 0.0
-            g_new[bad] = self.g[:na][bad]
-            self.niter[:na][bad] = n - 1
-        self.g[:na] = g_new
-        if counter is not None:
-            updated = na if bad is None else na - int(bad.sum())
-            counter.add_shift_update(ops * updated)
-            counter.add_least_squares(lsq * updated)
-        k = self.k
+    def _step_rows(self):
+        """The window rows that the coming step's ``d``, ``a`` and ``b`` (or
+        ``None``) are written into, over the active prefix."""
+        k, na = self.k, self.na
         if k + 2 == len(self.Dw):  # coefficient rows full: double them, up to window + 2
             more = np.zeros((min(k + 2, self.window - k), self.m), complex)
             self.Dw, self.Aw, self.Bw = (None if arr is None else np.concatenate((arr, more))
                                          for arr in (self.Dw, self.Aw, self.Bw))
+        Dw, Aw, Bw = self.Dw, self.Aw, self.Bw
+        return Dw[k + 2, :na], Aw[k + 2, :na], None if Bw is None else Bw[k + 2, :na]
+
+    def _advance(self, step, g_new, ops, lsq, counter):
+        """Finish one step over the active prefix, whose coefficients are in
+        its :meth:`_step_rows`: freeze broken rows, charge the updates, store ``v_n``."""
+        na, n, bad, k = self.na, step.n, self.bad, self.k
+        self.niter[:na] = n
+        if bad is not None:
+            for arr in (self.Dw, self.Aw, self.Bw):
+                if arr is not None:
+                    arr[k + 2, :na][bad] = 0.0
+            g_new[bad] = self.g[:na][bad]
+            self.niter[:na][bad] = n - 1
+        self.g[:na] = g_new
+        if counter is not None:
+            updated = na if bad is None else na - int(np.count_nonzero(bad))
+            counter.add_shift_update(ops * updated)
+            counter.add_least_squares(lsq * updated)
         self.Vw[k, : self.n] = step.v
-        self.Dw[k + 2, :na], self.Aw[k + 2, :na] = d, a
-        if b is not None:
-            self.Bw[k + 2, :na] = b
         self.k = k + 1
         if self.k == self.window:
             self._flush_window()
 
     def _flush_window(self):
-        """Flush the full window with ``carry``: here, or handed to the worker
-        while the stream goes on in the spare window buffers."""
+        """Flush the full window into the active prefix, with ``carry``, and the
+        pending rows: here, or handed to the worker while the stream goes on
+        in the spare window buffers."""
+        rows, carry = slice(0, self.na + self.pending), self.na
+        full = (self.k, self.Vw, self.Dw, self.Aw, self.Bw)
+        self.k = self.pending = 0
         if self._pool is None:
-            self.flush(slice(0, self.na), carry=True)
+            self.flush(rows, carry, None, full)
             return
         self.wait()  # the previous window's buffers become the spare
-        full = (self.k, self.Vw, self.Dw, self.Aw, self.Bw)
         if self._spare is None:  # rows 0 and 1 of the coefficients stay zero
             self._spare = [None if arr is None else np.zeros_like(arr) for arr in full[1:]]
         (self.Vw, self.Dw, self.Aw, self.Bw), self._spare = self._spare, full[1:]
-        self.k = 0
-        self._pending = self._pool.submit(self.flush, slice(0, self.na), True, None, full)
+        self._job = self._pool.submit(self.flush, rows, carry, None, full)
 
-    def flush(self, rows, carry: bool, into=None, window=None):
+    def flush(self, rows, carry, into=None, window=None):
         """Add the window's steps to the iterates of ``rows`` (a slice or index
         array), or to ``into`` (a copy of their ``X``) leaving the batch as it is.
-        With ``carry`` also advance their directions to the window's last step
-        and empty the window (the rows must then be the whole active prefix).
-        ``window`` is a full window ``(k, Vw, Dw, Aw, Bw)`` already taken out
-        of the batch, by default the batch's own."""
-        if window is None:
-            window = (self.k, self.Vw, self.Dw, self.Aw, self.Bw)
-            if carry:
-                self.k = 0
-        k, Vw, Dw, Aw, Bw = window
+        Also advance the directions of the first ``carry`` rows (``rows`` is
+        then a slice from row 0) to the window's last step. ``window`` is a
+        full window ``(k, Vw, Dw, Aw, Bw)`` already taken out of the batch, by
+        default the batch's own. The rows are swept a bounded block at a time."""
+        k, Vw, Dw, Aw, Bw = window or (self.k, self.Vw, self.Dw, self.Aw, self.Bw)
         h = len(self.perm[rows])
         if k == 0 or h == 0:
             return
-        # column t * h + j of Y: target t (x, then with carry p_e, p_{e-1}) of
-        # row j on p_{s-2}, p_{s-1}, v_s .. v_e. The sweep multiplies whole rows:
-        # NumPy rounds a product over a broadcast length-one axis differently
-        targets = 1 + carry * (1 if Bw is None else 2)
-        A = np.tile(Aw[: k + 2, rows], targets)
-        B = None if Bw is None else np.tile(Bw[: k + 2, rows], targets)
-        Y = np.zeros((k + 2, targets * h), dtype=np.complex128)
-        Y[:, :h] = Dw[: k + 2, rows]
-        if carry:
-            Y[k + 1, h : 2 * h] = 1.0
-            if B is not None:
-                Y[k, 2 * h :] = 1.0
-        for i in range(k, -1 if B is not None else 0, -1):
-            Y[i] -= A[i + 1] * Y[i + 1]
-            if B is not None and i + 2 <= k + 1:
-                Y[i] -= B[i + 2] * Y[i + 2]
+        part = ((lambda lo, hi: slice(rows.start + lo, rows.start + hi))  # rows lo .. hi-1 of rows
+                if isinstance(rows, slice) else (lambda lo, hi: rows[lo:hi]))
+        ndir = 0 if not carry else 1 if Bw is None else 2  # directions carried per row
         carried = [P for P in (self.P1, self.P2) if P is not None]
         if carry and not carried:  # zero directions add nothing; every row is written below
-            self.P1 = np.empty((h, self.n), dtype=np.complex128)
-            self.P2 = None if B is None else np.empty_like(self.P1)
-        hb = max(1, _BLOCK_ELEMS // (targets * self.n))
-        for lo in range(0, h, hb):
-            hi = min(h, lo + hb)
-            nb = hi - lo
-            r = slice(rows.start + lo, rows.start + hi) if isinstance(rows, slice) else rows[lo:hi]
-            cols = [slice(t * h + lo, t * h + hi) for t in range(targets)]
-            C = np.concatenate([Y[2:, c] for c in cols], axis=1).T
-            # complex coefficients on a real basis: one real GEMM for both parts
-            C = np.ascontiguousarray(np.concatenate((C.real, C.imag)) if self.real else C)
-            if len(C) == 1:  # a lone row would take the GEMV path and round differently
-                C = np.concatenate((C, np.zeros_like(C)))
-            G = C @ Vw[:k]
-            new = []
-            for t in range(targets):
-                if self.real:
-                    out = np.empty((nb, self.n), dtype=np.complex128)
-                    out.real = G[t * nb : (t + 1) * nb, : self.n]
-                    out.imag = G[(targets + t) * nb : (targets + t + 1) * nb, : self.n]
+            self.P1 = np.empty((carry, self.n), dtype=np.complex128)
+            self.P2 = None if Bw is None else np.empty_like(self.P1)
+        hb = max(1, _BLOCK_ELEMS // ((1 + ndir) * self.n))  # rows per GEMM
+        hs = hb * max(1, _BLOCK_ELEMS // ((k + 2) * (1 + ndir) * hb))  # rows per sweep
+        for lo in range(0, h, hs):
+            nx, nc = min(hs, h - lo), max(0, min(hs, carry - lo))  # rows; those with directions
+            # columns of Y: x of the nx rows, then p_e (and p_{e-1}) of the first
+            # nc, on p_{s-2}, p_{s-1}, v_s .. v_e. The sweep multiplies whole rows:
+            # NumPy rounds a product over a broadcast length-one axis differently
+            r, c = part(lo, lo + nx), slice(lo, lo + nc)
+            A, B = (None if W is None else np.hstack([W[: k + 2, r]] + [W[: k + 2, c]] * ndir)
+                    if nc else W[: k + 2, r] for W in (Aw, Bw))
+            Y = np.zeros((k + 2, nx + ndir * nc), dtype=np.complex128)
+            Y[:, :nx] = Dw[: k + 2, r]
+            Y[k + 1, nx : nx + nc] = 1.0
+            Y[k, nx + nc :] = 1.0
+            for i in range(k, -1 if B is not None else 0, -1):
+                Y[i] -= A[i + 1] * Y[i + 1]
+                if B is not None and i + 2 <= k + 1:
+                    Y[i] -= B[i + 2] * Y[i + 2]
+            for glo in range(0, nx, hb):
+                ghi = min(nx, glo + hb)
+                spans = [(glo, ghi)] + [(nx + t * nc + glo, nx + t * nc + min(ghi, nc))
+                                        for t in range(ndir) if glo < nc]
+                C = np.concatenate([Y[2:, a:b] for a, b in spans], axis=1).T
+                # complex coefficients on a real basis: one real GEMM for both parts
+                C = np.ascontiguousarray(np.concatenate((C.real, C.imag)) if self.real else C)
+                if len(C) == 1:  # a lone row would take the GEMV path and round differently
+                    C = np.concatenate((C, np.zeros_like(C)))
+                G, new, at, total = C @ Vw[:k], [], 0, sum(b - a for a, b in spans)
+                for a, b in spans:
+                    nb, rt = b - a, part(lo + glo, lo + glo + b - a)
+                    if self.real:
+                        out = np.empty((nb, self.n), dtype=np.complex128)
+                        out.real = G[at : at + nb, : self.n]
+                        out.imag = G[total + at : total + at + nb, : self.n]
+                    else:
+                        out = G[at : at + nb, : self.n]
+                    at += nb
+                    for j, P in enumerate(carried):
+                        out += Y[1 - j, a:b, None] * P[rt]
+                    new.append((rt, out))
+                (rt, out), *directions = new  # every target reads the old directions
+                if into is not None:
+                    into[lo + glo : lo + ghi] += out
                 else:
-                    out = G[t * nb : (t + 1) * nb, : self.n]
-                for j, P in enumerate(carried):
-                    out += Y[1 - j, cols[t], None] * P[r]
-                new.append(out)
-            if into is not None:
-                into[lo:hi] += new[0]
-                continue
-            self.X[r] += new[0]
-            if carry:
-                self.P1[r] = new[1]
-                if B is not None:
-                    self.P2[r] = new[2]
+                    self.X[rt] += out
+                for P, (rt, out) in zip((self.P1, self.P2), directions):
+                    P[rt] = out
+                del G, new, out, directions  # before the next block's product is made
 
     def iterates(self, rows):
         """The current iterates of ``rows`` (an index array), assembled as
         :meth:`flush` assembles them, without changing the batch."""
         self.wait()
         X = self.X[rows]
-        self.flush(rows, carry=False, into=X)
+        self.flush(rows, 0, X)
         return X
 
     def retire(self, done, assembled=None):
-        """Take the rows marked in ``done`` (over the active prefix) out of
-        it: record their status, move them behind the survivors and assemble
-        their iterates, except those of the rows marked in ``assembled``."""
+        """Take the rows marked in ``done`` (over the active prefix) out of it:
+        record their status and move them behind the survivors, pending until
+        the window is flushed. The rows marked in ``assembled`` already hold
+        their iterates; with any of them, the others and the earlier pending
+        rows are assembled at once."""
         self.wait()
-        na = self.na
-        assembled = np.zeros(na, dtype=bool) if assembled is None else assembled
+        na, k = self.na, self.k
         for r in np.flatnonzero(done):
             broken = self.bad is not None and self.bad[r]
             self.status[self.perm[r]] = "breakdown" if broken else "converged"
-        keep = na - int(done.sum())
+        keep = na - int(np.count_nonzero(done))
         dst = np.flatnonzero(done[:keep])
         if len(dst):
             src = keep + np.flatnonzero(~done[keep:])
@@ -358,15 +368,24 @@ class ShiftBatch:
             for arr in [getattr(self, name) for name in self._fields] + [self.P1, self.P2]:
                 if arr is not None:
                     arr[a] = arr[b]
-            if self.k:
+            if k:
                 for arr in (self.Dw, self.Aw, self.Bw):
                     if arr is not None:
-                        arr[: self.k + 2, a] = arr[: self.k + 2, b]
+                        arr[: k + 2, a] = arr[: k + 2, b]
             self.row[self.perm[a]] = a
-            assembled[a] = assembled[b]
+            if assembled is not None:
+                assembled[a] = assembled[b]
         self.na = keep
-        rows = keep + np.flatnonzero(~assembled[keep:]) if assembled.any() else slice(keep, na)
-        self.flush(rows, carry=False)
+        if k and assembled is not None and np.count_nonzero(assembled[keep:na]):
+            # the others are assembled now, with the rows retired earlier in the window
+            self.flush(np.concatenate((keep + np.flatnonzero(~assembled[keep:na]),
+                                       np.arange(na, na + self.pending))), 0)
+            self.pending = 0
+        elif k:  # pending: zero coefficients after this step add nothing to a sweep
+            for arr in (self.Dw, self.Aw, self.Bw):
+                if arr is not None:
+                    arr[k + 2 :, keep:na] = 0.0
+            self.pending += na - keep
 
     def record(self, n, est, target, bnorm, assembled=None):
         """Store the step-``n`` residuals ``est`` of the active prefix (broken
@@ -381,13 +400,13 @@ class ShiftBatch:
         if self.history is not None:  # one (n, relative residual) pair per live shift
             for ell, rel in zip(self.perm[:na][live].tolist(), (res[live] / bnorm).tolist()):
                 self.history[ell].append((n, rel))
-        if done.any():
+        if np.count_nonzero(done):
             self.retire(done, assembled)
 
     def finish(self):
-        """Assemble the remaining rows and return ``X``, put in shift order in place."""
+        """Assemble the active and pending rows and return ``X``, put in shift order in place."""
         self.wait()
-        self.flush(slice(0, self.na), carry=False)
+        self.flush(slice(0, self.na + self.pending), 0)
         self.P1 = self.P2 = self.W = self.Vw = self._spare = None
         X, row = self.X, self.row.tolist()
         for start in range(self.m):
@@ -414,8 +433,6 @@ def _rotation_update(batch: ShiftBatch, step: LanczosStep, omegas, scale, counte
     t_nm1 = om_nm1 * complex(step.beta_prev)
     t_n = om_n * (complex(step.alpha) + batch.sigma[:na])
     t_np1 = om_np1 * complex(step.beta)
-    zeros = np.zeros(na, dtype=np.complex128)
-    t_nm2 = zeros
     if n > 2:
         t_nm2, t_nm1 = batch.s2[:na] * t_nm1, batch.c2[:na] * t_nm1
     if n > 1:
@@ -428,9 +445,10 @@ def _rotation_update(batch: ShiftBatch, step: LanczosStep, omegas, scale, counte
     s = np.conj(sbar)
     t_final = c * t_n + s * t_np1
     g = batch.g[:na]
-    d = (c * g) / t_final
-    a = t_nm1 / batch.diag1[:na] if n > 1 else zeros.copy()
-    b = t_nm2 / batch.diag2[:na] if n > 2 else zeros.copy()
+    d, a, b = batch._step_rows()  # written in place, as in d = (c * g) / t_final
+    np.divide(c * g, t_final, out=d)
+    np.divide(t_nm1, batch.diag1[:na], out=a) if n > 1 else a.fill(0.0)
+    np.divide(t_nm2, batch.diag2[:na], out=b) if n > 2 else b.fill(0.0)
     if batch.W is not None:  # each row once, in place: scale, add, then its norm
         cu = c * scale
         buf = np.empty_like(step.v_next)
@@ -441,7 +459,7 @@ def _rotation_update(batch: ShiftBatch, step: LanczosStep, omegas, scale, counte
             batch.wnorm[r] = _norm2(w)
     batch.c2[:na], batch.s2[:na], batch.diag2[:na] = batch.c1[:na], batch.s1[:na], batch.diag1[:na]
     batch.c1[:na], batch.s1[:na], batch.diag1[:na] = c, s, t_final
-    batch._advance(step, -sbar * g, d, a, b, 6 * batch.n + 3, _LSQ_OPS_ROTATION, counter)
+    batch._advance(step, -sbar * g, 6 * batch.n + 3, _LSQ_OPS_ROTATION, counter)
 
 
 def qmr_sym_update(batch: ShiftBatch, step: LanczosStep, counter: FlopCounter | None = None):
@@ -494,10 +512,11 @@ def qmr_sym_b_update(batch: ShiftBatch, step: LanczosStep, counter: FlopCounter 
     t_n = batch._pivots(t_n, n, "pivot", "zero elimination pivot")
     f = -complex(step.beta) / t_n
     g = batch.g[:na]
-    d = g / t_n
-    a = t_nm1 / batch.diag1[:na] if n > 1 else np.zeros(na, dtype=np.complex128)
+    d, a, _ = batch._step_rows()  # written in place, as in d = g / t_n
+    np.divide(g, t_n, out=d)
+    np.divide(t_nm1, batch.diag1[:na], out=a) if n > 1 else a.fill(0.0)
     batch.f[:na], batch.diag1[:na] = f, t_n
-    batch._advance(step, f * g, d, a, None, 4 * batch.n + 2, _LSQ_OPS_ELIMINATION, counter)
+    batch._advance(step, f * g, 4 * batch.n + 2, _LSQ_OPS_ELIMINATION, counter)
     return batch
 
 
@@ -609,15 +628,15 @@ class SolveReport:
 
 
 def _observed(batch: ShiftBatch) -> SimpleNamespace:
-    """The ``state`` a callback gets (see :func:`solve_all`). A retired
-    shift's iterate is a copy of its row of ``X``: the window's coefficients
-    in its column were flushed into it when it retired."""
+    """The ``state`` a callback gets (see :func:`solve_all`). A shift retired
+    before the window began has its iterate in its row of ``X``; a pending
+    one is assembled like an active one."""
     row = batch.row
 
     def iterates(ells=None):
         rows = row if ells is None else row[np.asarray(ells, dtype=np.intp)]
         batch.wait()
-        X, live = batch.X[rows], rows < batch.na
+        X, live = batch.X[rows], rows < batch.na + batch.pending
         X[live] = batch.iterates(rows[live])
         return X
 

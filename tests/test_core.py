@@ -164,6 +164,29 @@ class TestSpmv:
         assert res[0] == 0.0
         assert np.all(res[1:] > 0.0)
 
+    # real x real and complex x complex go straight to SciPy's csr_matvec; a
+    # real matrix takes a complex vector as its float64 view with two columns
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "read-only"])
+    @pytest.mark.parametrize("kind", ["real", "complex", "real matrix, complex vector"])
+    def test_same_bits_and_dtype_as_the_csr_product(self, kind, layout):
+        rng = np.random.default_rng(8)
+        A, M = dense_pair(300, rng)
+        if kind != "complex":
+            A = SparseSymMatrix.from_dense(M.real)
+        w = rng.standard_normal(600)
+        if kind != "real":
+            w = w + 1j * rng.standard_normal(600)
+        v = w[::2] if layout == "strided" else w[:300].copy()
+        v.setflags(write=layout != "read-only")
+        dense = np.ascontiguousarray(v)
+        if kind == "real matrix, complex vector":
+            ref = (A.csr @ dense.view(np.float64).reshape(300, 2)).view(np.complex128).ravel()
+        else:
+            ref = A.csr @ dense
+        for out in (core._csr_product(A, v), spmv(A, v)):
+            assert out.dtype == ref.dtype and out.shape == (300,)
+            assert out.tobytes() == ref.tobytes()
+
     def test_dimension_mismatch(self):
         A = SparseSymMatrix.from_dense(np.eye(3))
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import pytest
 
 from shiftkrylov import BreakdownError, SparseSymMatrix
 from shiftkrylov.core import _norm2, bilinear_dot, principal_sqrt, spmv
-from shiftkrylov.lanczos import lanczos_init, lanczos_step
+from shiftkrylov.lanczos import LanczosStep, lanczos_init, lanczos_step
 
 from _reference import (
     dense_tridiagonal,
@@ -56,6 +56,15 @@ class TestStep:
         assert abs(step.beta - 0.5) <= 1e-15
         assert np.allclose(step.v_next, np.array([-1.0, 1.0]) / np.sqrt(2), rtol=1e-15)
         assert not step.lucky
+
+    def test_step_record_is_immutable_and_built_by_keyword(self):
+        A = SparseSymMatrix.from_dense(np.diag([1.0, 2.0]))
+        step = lanczos_step(lanczos_init(A, np.array([1.0, 1.0])), A)
+        fields = ("n", "alpha", "beta_prev", "beta", "v", "v_next", "v_next_norm", "lucky")
+        again = LanczosStep(**{name: getattr(step, name) for name in fields})
+        assert again == step and again.n == 1 and again.v is step.v
+        with pytest.raises(AttributeError):
+            step.alpha = 0.0
 
     def test_identity_terminates_after_one_step(self):
         A = SparseSymMatrix.from_dense(np.eye(5))

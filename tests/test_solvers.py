@@ -1287,6 +1287,86 @@ class TestWindowEngine:
         # no copy of the iterates on return
         assert peak <= m * n * 16 + window + 2 * 2**20
 
+    # every shift retires within the one window, so all 1001 rows are pending
+    # until finish assembles them, a bounded block at a time. Assembling each
+    # retirement at once instead peaked this far above these arrays
+    @pytest.mark.parametrize("method, above", [("qmr-sym", 1.142), ("qmr-sym-b", 1.013)])
+    def test_desk_sweep_peak_memory_with_pending_rows(self, method, above):
+        A, b, shifts = self.desk_sweep(1001)
+        probe = ShiftBatch(method, shifts, 1.0, b, 2 * A.n)
+        arrays = probe.X.nbytes + sum(arr.nbytes for arr in (probe.Vw, probe.Dw, probe.Aw, probe.Bw)
+                                      if arr is not None)
+        del probe
+        tracemalloc.start()
+        try:
+            x, rep = solve_all(A, b, shifts, method=method, tol=1e-12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.all_converged and rep.iterations < 256
+        assert peak <= arrays + above * 2**20, f"{(peak - arrays) / 2**20:.3f} MiB"
+
+
+class TestDeferredRetirement:
+    """A retiring shift keeps its window coefficients, zero after its last
+    step, and is assembled with the next full window or at the end."""
+
+    C = 50  # steps per window
+    # on TestBackgroundFlush's chain of 1000 sites they retire at 12 different
+    # steps, from 30 to 383, most of them mid-window
+    SHIFTS = np.linspace(0.2, 2.4, 12) + 1j * np.linspace(0.1, 0.7, 12)
+
+    @classmethod
+    def solve(cls, monkeypatch, method, real, **kw):
+        TestWindowEngine.window(monkeypatch, cls.C, 1000)
+        A, b = TestBackgroundFlush.chain(1000, real=real)
+        return solve_all(A, b, cls.SHIFTS, method=method, tol=1e-10, **kw)
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("method", TestWindowEngine.RECURRENCES)
+    def test_one_flush_per_window_and_one_at_the_end(self, monkeypatch, method, real):
+        calls = []
+        flush = ShiftBatch.flush
+        monkeypatch.setattr(ShiftBatch, "flush", lambda *args: calls.append(1) or flush(*args))
+        x, rep = self.solve(monkeypatch, method, real)
+        retired_mid_window = {s for s in rep.iters.tolist() if s % self.C}
+        assert rep.all_converged and len(retired_mid_window) >= 11
+        assert len(calls) <= rep.iterations // self.C + 1
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_callback_reads_pending_shifts(self, monkeypatch, method, real):
+        reads = []
+
+        def reader(n, state):  # the shifts retired within the window, before its flush
+            for ell in np.flatnonzero((state.niter < n) & (n % self.C > state.niter % self.C)):
+                if n - state.niter[ell] <= 3:
+                    reads.append((ell, state.iterates([ell])[0]))
+
+        x, rep = self.solve(monkeypatch, method, real, callback=reader)
+        assert rep.all_converged and len({ell for ell, _ in reads}) >= 10
+        assert all(np.array_equal(xl, x[ell]) for ell, xl in reads)
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_verified_cocg_rows_keep_their_bits(self, monkeypatch, real):
+        again, verified = [], {}
+        flush = ShiftBatch.flush
+
+        def watched(batch, rows, carry, into=None, window=None):
+            again.extend(ell for ell in batch.perm[rows] if batch.status[ell] == "converged")
+            return flush(batch, rows, carry, into, window)
+
+        def reader(n, state):  # each iterate as its explicit residual verified it
+            for ell in np.flatnonzero(state.res <= 1e-10):
+                verified.setdefault(ell, state.iterates([ell])[0])
+
+        monkeypatch.setattr(ShiftBatch, "flush", watched)
+        x, rep = self.solve(monkeypatch, "cocg", real, callback=reader)
+        # several of them verified mid-window with full windows flushed after
+        assert rep.all_converged and sum(s % self.C > 0 for s in rep.iters) >= 10
+        assert again == [] and len(verified) == 12
+        assert all(np.array_equal(xl, x[ell]) for ell, xl in verified.items())
+
 
 class TestBackgroundFlush:
     """On a complex basis with ``N >= _BACKGROUND_N`` and an idle core, each
@@ -1361,6 +1441,30 @@ class TestBackgroundFlush:
         assert np.array_equal(rep.final_rel_estimate, reps.final_rel_estimate)
         assert rep.history == reps.history
         assert vars(counter) == vars(counters) and vars(rep.flops) == vars(reps.flops)
+
+    @pytest.mark.parametrize("method", TestWindowEngine.RECURRENCES)
+    def test_worker_assembles_the_pending_rows(self, monkeypatch, method):
+        monkeypatch.setattr(solvers, "_idle_core", lambda: True)
+        pending = []  # rows past the carrying prefix in each hand-off
+        flush = ShiftBatch.flush
+
+        def watched(batch, rows, carry, into=None, window=None):
+            if threading.current_thread() is not threading.main_thread():
+                pending.append(len(batch.perm[rows]) - carry)
+            return flush(batch, rows, carry, into, window)
+
+        monkeypatch.setattr(ShiftBatch, "flush", watched)
+        A, b = self.chain()
+        runs = []
+        for least_n in (self.N, self.N + 1):
+            monkeypatch.setattr(solvers, "_BACKGROUND_N", least_n)
+            runs.append(solve_all(A, b, self.SHIFTS, method=method, tol=1e-10,
+                                  record_history=True))
+        (x, rep), (xs, reps) = runs
+        assert rep.all_converged and np.all(rep.iters % 16) and sum(pending) == len(self.SHIFTS) - 1
+        assert np.array_equal(x, xs) and list(rep.iters) == list(reps.iters)
+        assert np.array_equal(rep.final_rel_estimate, reps.final_rel_estimate)
+        assert rep.history == reps.history
 
     @pytest.mark.parametrize("method", METHODS)
     def test_shift_alone_equals_shift_in_family(self, flushes, method):

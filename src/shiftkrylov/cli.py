@@ -5,13 +5,15 @@ dense oracle.
 Exit codes form a stable contract::
 
     0  every requested shift converged
-    2  usage or configuration error
+    2  usage or configuration error, or a problem too large for memory
     3  input file parse error
     4  breakdown (at initialization or for at least one shift)
     5  at least one shift unconverged within the iteration budget
 
-Timing is printed to stdout only; files written under ``--out-prefix`` are
-byte-deterministic for a fixed configuration and seed.
+Codes 2 to 4 come with an ``error:`` line on stderr, not a traceback; a
+``MemoryError``, such as from a shift file asking for 10^12 shifts, is
+reported as code 2. Timing is printed to stdout only; files written under
+``--out-prefix`` are byte-deterministic for a fixed configuration and seed.
 """
 
 from __future__ import annotations
@@ -74,8 +76,8 @@ def generate_hamiltonian_analog(
         rows.append(i + k)
         cols.append(i)
         vals.append(band)
-        np.add.at(abs_rowsum, i, np.abs(band))
-        np.add.at(abs_rowsum, i + k, np.abs(band))
+        abs_rowsum[: n - k] += np.abs(band)
+        abs_rowsum[k:] += np.abs(band)
     diag = dominance * abs_rowsum + rng.uniform(0.05, 1.0, n)
     i = np.arange(n)
     rows.append(i)
@@ -206,8 +208,8 @@ def main(argv=None) -> int:
 
         if args.method == "all" and args.out_prefix:
             _write_compare(f"{args.out_prefix}.compare.txt", reports)
-    except (OSError, ValueError, BreakdownError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, BreakdownError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         if isinstance(exc, skio.ParseError):
             return EXIT_PARSE
         return EXIT_BREAKDOWN if isinstance(exc, BreakdownError) else EXIT_USAGE

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 from scipy.linalg.blas import dnrm2, dznrm2
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse._sparsetools import coo_tocsr, csr_matvec, csr_tocsc
 
 __all__ = [
     "BreakdownError",
@@ -141,6 +141,16 @@ def bilinear_dot(u, v):
     return _sum_all(u * v)
 
 
+def _values(data) -> np.ndarray:
+    """float64 values when every imaginary part is exactly zero, else complex128."""
+    data = np.asarray(data)
+    if data.dtype.kind == "c":
+        if not np.any(data.imag):
+            return np.ascontiguousarray(data.real, dtype=np.float64)
+        return np.ascontiguousarray(data, dtype=np.complex128)
+    return np.ascontiguousarray(data, dtype=np.float64)
+
+
 class SparseSymMatrix:
     """Sparse symmetric matrix in compressed-row form, storing both triangles.
 
@@ -148,9 +158,11 @@ class SparseSymMatrix:
     product computes a matvec. Symmetry means ``A^T = A`` (no conjugation);
     the constructor verifies it exactly, entry for entry, and raises
     :class:`EntryError` at the first duplicate entry, or else the first entry
-    whose mirror is missing or differs, in row-major order. Values are kept as
-    float64 when every imaginary part is exactly zero (``is_real``), complex128
-    otherwise, so real problems automatically run on the real fast path.
+    whose mirror is missing or differs, in row-major order, in O(nnz) passes:
+    symmetry is one compiled transpose compared with the stored arrays, and a
+    search runs only to name a bad entry. Values are kept as float64 when
+    every imaginary part is exactly zero (``is_real``), complex128 otherwise,
+    so real problems automatically run on the real fast path.
 
     Instances are immutable after construction; the cached :attr:`csr` view
     is built on first use.
@@ -164,14 +176,7 @@ class SparseSymMatrix:
             raise ValueError(f"dimension must be >= 1, got {n}")
         indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         indices = np.ascontiguousarray(indices, dtype=np.int64)
-        data = np.asarray(data)
-        if data.dtype.kind == "c":
-            if not np.any(data.imag):
-                data = np.ascontiguousarray(data.real, dtype=np.float64)
-            else:
-                data = np.ascontiguousarray(data, dtype=np.complex128)
-        else:
-            data = np.ascontiguousarray(data, dtype=np.float64)
+        data = _values(data)
         if indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != len(indices):
             raise ValueError("malformed indptr")
         if np.any(np.diff(indptr) < 0):
@@ -200,37 +205,43 @@ class SparseSymMatrix:
         self._check_symmetry(rows)
 
     def _check_symmetry(self, rows: np.ndarray):
-        cols, data = self.indices, self.data
-        # rows are sorted, so this is the transposed row-major order: entry
-        # order[k] must be the mirror of entry k, with the same value
-        order = np.argsort(cols, kind="stable")
-        if ((cols[order] != rows) | (rows[order] != cols) | (data[order] != data)).any():
-            # name the first entry whose mirror, found by its row-major key, is missing or differs
-            at = np.searchsorted(rows * self.n + cols, cols * self.n + rows).clip(max=len(cols) - 1)
-            bad = (rows[at] != cols) | (cols[at] != rows) | (data[at] != data)
-            i = int(np.argmax(bad))
-            raise EntryError(rows[i], cols[i], "not symmetric at entry")
+        n, indptr, cols, data = self.n, self.indptr, self.indices, self.data
+        # the transpose of sorted CSR, by one compiled counting sort, is again
+        # sorted CSR: A = A^T exactly when it gives back the same three arrays
+        t = (np.empty_like(indptr), np.empty_like(cols), np.empty_like(data))
+        csr_tocsc(n, n, indptr, cols, data, *t)
+        if all(map(np.array_equal, t, (indptr, cols, data))):
+            return
+        # name the first entry whose mirror, found by its row-major key, is missing or differs
+        at = np.searchsorted(rows * n + cols, cols * n + rows).clip(max=len(cols) - 1)
+        bad = (rows[at] != cols) | (cols[at] != rows) | (data[at] != data)
+        i = int(np.argmax(bad))
+        raise EntryError(rows[i], cols[i], "not symmetric at entry")
 
     @classmethod
     def from_coo(cls, n: int, rows, cols, values) -> "SparseSymMatrix":
         """Build from triplets covering the full symmetric pattern.
 
         Triplets may arrive in any order; duplicate ``(i, j)`` pairs are
-        rejected.
+        rejected. Two stable compiled counting sorts, by column and then by
+        row, order them in O(nnz + n), ties as under a lexsort.
         """
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        values = np.asarray(values)
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        cols = np.ascontiguousarray(cols, dtype=np.int64)
+        values = _values(values)
         if not (len(rows) == len(cols) == len(values)):
             raise ValueError("rows/cols/values length mismatch")
         if len(rows) and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n):
             raise ValueError("index out of range")
-        order = np.lexsort((cols, rows))
-        rows, cols, values = rows[order], cols[order], values[order]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(n, indptr, cols, values)
+        if n < 1:
+            return cls(n, [0], rows, values)  # the constructor's dimension error
+        t = (np.empty(n + 1, np.int64), np.empty_like(rows), np.empty_like(values))
+        coo_tocsr(n, n, len(rows), cols, rows, values, *t)  # A^T: by column, then input order
+        del rows, cols, values
+        csr = tuple(map(np.empty_like, t))
+        csr_tocsc(n, n, *t, *csr)  # A: by row, then column
+        del t
+        return cls(n, *csr)
 
     @classmethod
     def from_dense(cls, M) -> "SparseSymMatrix":

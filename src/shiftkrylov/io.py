@@ -170,8 +170,9 @@ def _bulk_entries(lines, lineno, nnz, ntok, n, symmetric):
 def _scan_entries(path, lines, lineno, nnz, ntok, n, symmetric):
     """Parse the data section line by line, raising :class:`ParseError` at
     the first malformed line."""
-    rows, cols, entry_line = (np.empty(nnz, dtype=np.int64) for _ in range(3))
-    vals = np.empty(nnz, dtype=np.complex128)
+    size = min(nnz, len(lines) - lineno)  # not the declared count: that may be absurd
+    rows, cols, entry_line = (np.empty(size, dtype=np.int64) for _ in range(3))
+    vals = np.empty(size, dtype=np.complex128)
     count = 0
     for k in range(lineno, len(lines)):
         text = lines[k]

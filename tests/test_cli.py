@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shiftkrylov import DenseOracle, SparseSymMatrix, write_matrix_market
+from shiftkrylov import DenseOracle, SparseSymMatrix, cli, write_matrix_market
 from shiftkrylov.cli import (
     EXIT_BREAKDOWN,
     EXIT_OK,
@@ -69,6 +70,17 @@ class TestGenerator:
         A = generate_hamiltonian_analog(8, 2, seed=9, real=False)
         assert not A.is_real
         assert np.array_equal(A.to_dense(), A.to_dense().T)
+
+    def test_sweep_matrix_bits_are_pinned(self):
+        # the matrix of the README sweep, by a digest of its CSR arrays
+        A = generate_hamiltonian_analog(512, 34, seed=42)
+        digest = hashlib.sha256()
+        for array in (A.indptr, A.indices, A.data):
+            digest.update(array.tobytes())
+        assert (A.indptr.dtype, A.indices.dtype, A.data.dtype, A.nnz) == (
+            np.int64, np.int64, np.float64, 34138)
+        assert digest.hexdigest() == (
+            "4c2678c798e2d8ce69e7fc2037fbd7cbf1dad885413baabb627313c08d7ebf41")
 
     def test_invalid_dimensions(self):
         with pytest.raises(ValueError):
@@ -162,6 +174,27 @@ class TestRun:
         bad.write_text("%%MatrixMarket matrix coordinate real symmetric\nnonsense\n")
         shifts = write_shift_file(tmp_path / "s.txt")
         assert main(["--matrix", str(bad), "--shifts", shifts]) == EXIT_PARSE
+
+    def test_huge_declared_entry_count_is_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "huge.mtx"
+        bad.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                       "3 3 1000000000000\n1 1 1.0\n")
+        shifts = write_shift_file(tmp_path / "s.txt")
+        assert main(["--matrix", str(bad), "--shifts", shifts]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "expected 1000000000000 entries, found 1" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB", ""])
+    def test_memory_error_is_usage_error(self, tmp_path, capsys, monkeypatch, message):
+        def too_large(path):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli.skio, "read_shifts", too_large)
+        shifts = write_shift_file(tmp_path / "s.txt")
+        assert main(["--generate", "16,3,1", "--shifts", shifts]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: {message or 'out of memory'}\n"
 
     def test_breakdown_exit_code(self, tmp_path):
         rhs = tmp_path / "iso.txt"

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 
 import numpy as np
 import pytest
@@ -88,6 +89,28 @@ class TestPrincipalSqrt:
             s = principal_sqrt(z)
             assert s.real >= 0.0
             assert abs(s * s - z) <= 1e-14 * max(abs(z), 1.0)
+
+
+def tight_binding_lattice(L, disorder, seed, cap_layers=0):
+    """Full-pattern triplets of a 3-D nearest-neighbour lattice: hopping -1,
+    seeded on-site energies, and ``+iV`` on the outer ``cap_layers`` layers
+    (complex) when ``cap_layers > 0``."""
+    n = L**3
+    idx = np.arange(n).reshape(L, L, L)
+    rows, cols = [], []
+    for axis in range(3):
+        lo = np.take(idx, np.arange(L - 1), axis=axis).ravel()
+        hi = np.take(idx, np.arange(1, L), axis=axis).ravel()
+        rows += [lo, hi]
+        cols += [hi, lo]
+    onsite = np.random.default_rng(seed).uniform(-disorder / 2, disorder / 2, n)
+    if cap_layers:
+        coord = np.indices((L, L, L)).reshape(3, -1)
+        depth = np.minimum(coord, L - 1 - coord).min(axis=0)
+        onsite = onsite + 1j * np.clip((cap_layers - depth) / cap_layers, 0.0, None) ** 2
+    nhop = sum(len(r) for r in rows)
+    vals = np.concatenate([np.full(nhop, -1.0, dtype=onsite.dtype), onsite])
+    return n, np.concatenate(rows + [np.arange(n)]), np.concatenate(cols + [np.arange(n)]), vals
 
 
 def dense_pair(n, rng):
@@ -235,6 +258,38 @@ class TestSparseSymMatrix:
         with pytest.raises(EntryError) as exc:
             SparseSymMatrix.from_coo(3, [1, 2, 2], [2, 0, 1], [1.0, 1.0, 1.0])
         assert (exc.value.row, exc.value.col) == (2, 0)
+
+    @pytest.mark.parametrize(
+        "n, rows, cols, values, what, entry",
+        [
+            (3, [0, 1, 1, 2], [0, 2, 2, 1], [1.0, 2.0, 2.0, 2.0], "duplicate entry", (1, 2)),
+            (2, [0, 0, 0], [0, 0, 1], [1.0, 1.0, 2.0], "duplicate entry", (0, 0)),
+            (2, [0, 0, 1, 1], [0, 1, 0, 1], [1.0, 2.0, 3.0, 1.0], "not symmetric at entry", (0, 1)),
+            (3, [1, 2, 2], [2, 0, 1], [1.0, 1.0, 1.0], "not symmetric at entry", (2, 0)),
+            (2, [0, 0], [0, 1], [1.0, 2.0], "not symmetric at entry", (0, 1)),
+        ],
+    )
+    def test_entry_error_names_the_first_entry_in_any_input_order(self, n, rows, cols, values,
+                                                                    what, entry):
+        # the cases of the tests above, in every order of their triplets
+        for order in itertools.permutations(range(len(rows))):
+            order = list(order)
+            with pytest.raises(EntryError, match=rf"{what} \({entry[0]},{entry[1]}\)") as exc:
+                SparseSymMatrix.from_coo(n, np.take(rows, order), np.take(cols, order),
+                                         np.take(values, order))
+            assert (exc.value.row, exc.value.col) == entry
+
+    @pytest.mark.parametrize("cap_layers", [0, 2], ids=["real", "complex"])
+    def test_shuffled_triplets_give_the_same_bytes(self, cap_layers):
+        n, rows, cols, vals = tight_binding_lattice(10, 1.0, 42, cap_layers)
+        A = SparseSymMatrix.from_coo(n, rows, cols, vals)
+        assert A.is_real == (cap_layers == 0)
+        for seed in range(3):
+            p = np.random.default_rng(seed).permutation(len(rows))
+            B = SparseSymMatrix.from_coo(n, rows[p], cols[p], vals[p])
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(A, name), getattr(B, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

@@ -239,6 +239,17 @@ class TestReadMatrixMarket:
         with pytest.raises(ParseError, match="expected 2 entries"):
             read_matrix_market(p)
 
+    def test_huge_declared_count_is_a_parse_error(self, tmp_path):
+        # the line-by-line reader sizes its arrays by the lines present, not
+        # by the declared count
+        p = write(
+            tmp_path / "huge.mtx",
+            "%%MatrixMarket matrix coordinate real symmetric\n" "3 3 1000000000000\n" "1 1 1.0\n",
+        )
+        with pytest.raises(ParseError, match="expected 1000000000000 entries, found 1") as exc:
+            read_matrix_market(p)
+        assert exc.value.line == 4
+
     def test_extra_entries(self, tmp_path):
         p = write(
             tmp_path / "many.mtx",

@@ -26,43 +26,35 @@ contiguous prefix of the rows. A method's update runs its scalar recurrence
 once per Lanczos step over that prefix and emits per shift the coefficients
 of ``p_n = v_n - a_n p_{n-1} - b_n p_{n-2}`` (``b_n = 0`` for the two-term
 methods) and ``x_n = x_{n-1} + d_n p_n``. It keeps ``v_n`` in a window of
-``c = max(8, _WINDOW_ELEMS // N)`` steps. When the window fills, one
-backward sweep over the coefficients expresses ``x`` and the carried
-directions in the window's basis vectors, and one GEMM per row block applies
-them (the deferred assembly of Frommer and Simoncini, "Matrix functions",
+``c = max(8, _WINDOW_ELEMS // N)`` steps on a real basis and twice that on a
+complex one (at most 256). When the window fills, one backward sweep over the
+coefficients expresses ``x`` and the carried directions in the window's basis
+vectors, and GEMMs of at least two shifts each apply them, over column panels
+of the window where those rows over the whole length would exceed a bounded
+block (the deferred assembly of Frommer and Simoncini, "Matrix functions",
 *Model Order Reduction*, 2008). A shift that deflates or breaks down keeps
 its coefficients, zero after its last step, and is assembled with the next
 window flush, or at the end with the others; ``X`` is then put in shift
 order in place. The directions are zero until a window carries them, and are
 only made then, so memory is ``O(mN + cN + cm)`` with one ``m x N`` array
 when every shift deflates within a window; the coefficient rows grow with
-the window's steps. On a complex basis with ``N >= 8192`` (windows of at
-most 16 steps), on two cores with OpenBLAS told to use one thread, each full
-window is flushed on one worker thread while the stream fills a second set
-of window buffers, so the per-shift GEMMs run beside the Lanczos stream;
-whatever else reads or writes ``X`` or the directions first waits for that
-flush, which runs the same code and gives the same bits. A real basis, a
-shorter one and threaded BLAS keep the flush in the stream's thread: on a
-real basis the hand-off measured no gain, and with threaded BLAS a loss
-(BLAS's own threads then hold the second core). ``W`` is updated one row at
-a time in place by NumPy (``w *= -s``, then ``w += c v`` through one reused
-buffer; SciPy's threaded level-1 BLAS competed with NumPy's for the cores),
-and each row's norm (``dznrm2``) is taken in the same visit and kept for the
-estimate. ``cocg`` checks, a block at a time, each shift whose recurrence
-value meets the tolerance on its iterate, assembled without changing the
-batch. A callback reads copies of the scalars and asks for iterates
-assembled the same way, and a recorded history keeps the values the
-deflation test reads: both only observe, and the solve has the same bits
-without them. Every product rounds a shift's row independently of the rows
+the window's steps. Every flush runs in the stream's thread, and no thread
+is started. ``W`` is updated one row at a time in place by NumPy (``w *= -s``,
+then ``w += c v`` through one reused buffer; SciPy's threaded level-1 BLAS
+competed with NumPy's for the cores), and each row's norm (``dznrm2``) is
+taken in the same visit and kept for the estimate. ``cocg`` checks, a block
+at a time, each shift whose recurrence value meets the tolerance on its
+iterate, assembled without changing the batch. A callback reads copies of
+the scalars and asks for iterates assembled the same way, and a recorded
+history keeps the values the deflation test reads: both only observe, and
+the solve has the same bits without them. Every product rounds a shift's row independently of the rows
 computed with it (see the notes at the products), so a shift's results do
 not depend on which other shifts are solved with it.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -94,13 +86,18 @@ METHODS = ("cocg", "qmr-sym", "qmr-sym-b", "qmr-sym-omega")
 _LSQ_OPS_ROTATION = 26
 _LSQ_OPS_ELIMINATION = 8
 
-# Iterate entries per row block of the explicit residuals and the flush
-# products: max(1, _BLOCK_ELEMS // N) shifts at a time
-# (fewer for a flush that also advances directions), which bounds the
-# temporaries to a few times this many complex entries.
+# Iterate entries per row block of the explicit residuals, max(1, _BLOCK_ELEMS // N)
+# shifts at a time, and output entries per flush product: max(2, _BLOCK_ELEMS //
+# (targets N)) shifts, each with x and its carried directions as targets, over
+# column panels of the window where those rows over the whole length would
+# exceed it. This bounds the temporaries to a few times this many complex entries.
 _BLOCK_ELEMS = 2**14
 
-# Basis entries per assembly window: c = max(_MIN_WINDOW, _WINDOW_ELEMS // N) steps.
+# Basis entries per assembly window: c = max(_MIN_WINDOW, _WINDOW_ELEMS // N)
+# steps on a real basis, 2c on a complex one. At N = 13,824 complex windows of
+# 18 steps (two shifts per GEMM) flushed in 0.11-0.15 ms per step what windows
+# of 9 steps (one shift per GEMM) flushed in 0.20-0.36 ms; on the real
+# lattice-band a doubled window cost 1.5 MiB of peak RSS.
 _WINDOW_ELEMS = 2**17
 # Steps per window at least, so that a long basis is not flushed every step
 # or every few: at N = 2^18 one-step windows made a solve 1.2 to 1.7 times as
@@ -110,36 +107,17 @@ _MIN_WINDOW = 8
 # inner dimension in its regular kernel but not in its small-matrix kernel,
 # so a row's bits would depend on how many rows share its product.
 _MAX_WINDOW = 256
-# Basis length from which a complex basis flushes each full window on a worker
-# thread (a window of at most 16 steps), where the per-shift GEMMs take about a
-# quarter of the solve and overlap the stream. A real basis keeps the flush in
-# the stream's thread: there the hand-off measured no gain. The worker also
-# needs a core that BLAS leaves idle: with more than one OpenBLAS thread, its
-# pool takes the second core for the stream's vector operations.
-_BACKGROUND_N = 2**13
-
-
-def _idle_core() -> bool:
-    """Whether the process may run on two cores and OpenBLAS was told to use
-    one thread, by the first of its thread-count variables that is set."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-    threads = next(filter(None, map(os.environ.get, names)), None)
-    return (cores or 1) >= 2 and threads == "1"
 
 
 class ShiftBatch:
     """State of every shift of one solve, one row per shift.
 
     ``window`` is the number of Lanczos steps assembled at once,
-    ``min(max(_MIN_WINDOW, _WINDOW_ELEMS // N), _MAX_WINDOW, max_iter)``;
+    ``min(c, _MAX_WINDOW, max_iter)`` with ``c = max(_MIN_WINDOW,
+    _WINDOW_ELEMS // N)`` on a real basis and ``2 c`` on a complex one;
     between flushes ``X`` holds the iterates at the window's start and
-    :meth:`iterates` assembles the current ones. On a complex basis with
-    ``N >= _BACKGROUND_N`` and an idle core (:func:`_idle_core`) a full window
-    is flushed on one worker thread while the stream fills a second set of
-    window buffers; every other reader or writer of ``X``/``P1``/``P2`` first
-    calls :meth:`wait`, and leaving a ``with`` block stops the worker. Rows
-    ``:na`` are the active shifts, and the ``pending`` rows after them retired
+    :meth:`iterates` assembles the current ones. Rows ``:na`` are the active
+    shifts, and the ``pending`` rows after them retired
     within the window and are assembled when it is flushed (their coefficients
     after their last step are zero); ``perm[r]`` is the shift in row ``r`` and
     ``row[l]`` the row of shift ``l``. ``P1``/``P2`` are ``None`` (zero) until
@@ -182,7 +160,8 @@ class ShiftBatch:
         self.status, self.failure = ["unconverged"] * m, [None] * m
         self.history = [[] for _ in range(m)] if record_history else None
         self.bad = None
-        self.window = min(max(_MIN_WINDOW, _WINDOW_ELEMS // n), _MAX_WINDOW, max_iter)
+        steps = max(_MIN_WINDOW, _WINDOW_ELEMS // n)
+        self.window = min(steps if self.real else 2 * steps, _MAX_WINDOW, max_iter)
         self.k = 0  # steps held in the window
         self.P1 = self.P2 = None  # the directions are zero until a window carries them
         # columns padded to a multiple of 8: OpenBLAS's small dgemm
@@ -193,25 +172,7 @@ class ShiftBatch:
         shape = (min(self.window + 2, 32), m)
         self.Dw, self.Aw = np.zeros(shape, complex), np.zeros(shape, complex)
         self.Bw = np.zeros(shape, complex) if rotation else None
-        background = not self.real and n >= _BACKGROUND_N and _idle_core()
-        # the worker thread starts at the first hand-off
-        self._pool = ThreadPoolExecutor(max_workers=1) if background else None
-        self._job = self._spare = None
         self.pending = 0
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self._pool is not None:  # stop the worker, after the window it is flushing
-            self._pool.shutdown()
-
-    def wait(self):
-        """Wait for the window flushing on the worker, if any, and raise its
-        error here; ``X``, ``P1`` and ``P2`` are then the caller's again."""
-        job, self._job = self._job, None
-        if job is not None:
-            job.result()
 
     def _pivots(self, t, n, kind, what):
         """Mark the rows with a zero pivot ``t`` as broken down at step ``n``
@@ -259,29 +220,19 @@ class ShiftBatch:
             self._flush_window()
 
     def _flush_window(self):
-        """Flush the full window into the active prefix, with ``carry``, and the
-        pending rows: here, or handed to the worker while the stream goes on
-        in the spare window buffers."""
-        rows, carry = slice(0, self.na + self.pending), self.na
-        full = (self.k, self.Vw, self.Dw, self.Aw, self.Bw)
+        """Flush the full window into the active prefix, advancing its
+        directions, and into the pending rows."""
+        self.flush(slice(0, self.na + self.pending), self.na)
         self.k = self.pending = 0
-        if self._pool is None:
-            self.flush(rows, carry, None, full)
-            return
-        self.wait()  # the previous window's buffers become the spare
-        if self._spare is None:  # rows 0 and 1 of the coefficients stay zero
-            self._spare = [None if arr is None else np.zeros_like(arr) for arr in full[1:]]
-        (self.Vw, self.Dw, self.Aw, self.Bw), self._spare = self._spare, full[1:]
-        self._job = self._pool.submit(self.flush, rows, carry, None, full)
 
-    def flush(self, rows, carry, into=None, window=None):
+    def flush(self, rows, carry, into=None):
         """Add the window's steps to the iterates of ``rows`` (a slice or index
         array), or to ``into`` (a copy of their ``X``) leaving the batch as it is.
         Also advance the directions of the first ``carry`` rows (``rows`` is
-        then a slice from row 0) to the window's last step. ``window`` is a
-        full window ``(k, Vw, Dw, Aw, Bw)`` already taken out of the batch, by
-        default the batch's own. The rows are swept a bounded block at a time."""
-        k, Vw, Dw, Aw, Bw = window or (self.k, self.Vw, self.Dw, self.Aw, self.Bw)
+        then a slice from row 0) to the window's last step. The rows are swept
+        a bounded block at a time, and each block's products are formed and
+        applied a bounded panel of columns at a time."""
+        k, Vw, Dw, Aw, Bw = self.k, self.Vw, self.Dw, self.Aw, self.Bw
         h = len(self.perm[rows])
         if k == 0 or h == 0:
             return
@@ -292,7 +243,11 @@ class ShiftBatch:
         if carry and not carried:  # zero directions add nothing; every row is written below
             self.P1 = np.empty((carry, self.n), dtype=np.complex128)
             self.P2 = None if Bw is None else np.empty_like(self.P1)
-        hb = max(1, _BLOCK_ELEMS // ((1 + ndir) * self.n))  # rows per GEMM
+        hb = max(2, _BLOCK_ELEMS // ((1 + ndir) * self.n))  # shifts per GEMM
+        # columns per GEMM, a multiple of 8; the last panel runs to the padded
+        # width, so that every product has a width that rounds rows alike
+        width, pw = Vw.shape[1], max(8, _BLOCK_ELEMS // ((1 + ndir) * hb) // 8 * 8)
+        panels = [(c0, min(c0 + pw, width)) for c0 in range(0, width, pw)]
         hs = hb * max(1, _BLOCK_ELEMS // ((k + 2) * (1 + ndir) * hb))  # rows per sweep
         for lo in range(0, h, hs):
             nx, nc = min(hs, h - lo), max(0, min(hs, carry - lo))  # rows; those with directions
@@ -319,32 +274,34 @@ class ShiftBatch:
                 C = np.ascontiguousarray(np.concatenate((C.real, C.imag)) if self.real else C)
                 if len(C) == 1:  # a lone row would take the GEMV path and round differently
                     C = np.concatenate((C, np.zeros_like(C)))
-                G, new, at, total = C @ Vw[:k], [], 0, sum(b - a for a, b in spans)
-                for a, b in spans:
-                    nb, rt = b - a, part(lo + glo, lo + glo + b - a)
-                    if self.real:
-                        out = np.empty((nb, self.n), dtype=np.complex128)
-                        out.real = G[at : at + nb, : self.n]
-                        out.imag = G[total + at : total + at + nb, : self.n]
+                total = sum(b - a for a, b in spans)
+                for c0, c1 in panels:
+                    cols = slice(c0, min(c1, self.n))
+                    G, new, at, nw = C @ Vw[:k, c0:c1], [], 0, cols.stop - c0
+                    for a, b in spans:
+                        nb, rt = b - a, part(lo + glo, lo + glo + b - a)
+                        if self.real:
+                            out = np.empty((nb, nw), dtype=np.complex128)
+                            out.real = G[at : at + nb, :nw]
+                            out.imag = G[total + at : total + at + nb, :nw]
+                        else:
+                            out = G[at : at + nb, :nw]
+                        at += nb
+                        for j, P in enumerate(carried):
+                            out += Y[1 - j, a:b, None] * P[rt, cols]
+                        new.append((rt, out))
+                    (rt, out), *directions = new  # every target reads the old directions
+                    if into is not None:
+                        into[lo + glo : lo + ghi, cols] += out
                     else:
-                        out = G[at : at + nb, : self.n]
-                    at += nb
-                    for j, P in enumerate(carried):
-                        out += Y[1 - j, a:b, None] * P[rt]
-                    new.append((rt, out))
-                (rt, out), *directions = new  # every target reads the old directions
-                if into is not None:
-                    into[lo + glo : lo + ghi] += out
-                else:
-                    self.X[rt] += out
-                for P, (rt, out) in zip((self.P1, self.P2), directions):
-                    P[rt] = out
-                del G, new, out, directions  # before the next block's product is made
+                        self.X[rt, cols] += out
+                    for P, (rt, out) in zip((self.P1, self.P2), directions):
+                        P[rt, cols] = out
+                    del G, new, out, directions  # before the next panel's product is made
 
     def iterates(self, rows):
         """The current iterates of ``rows`` (an index array), assembled as
         :meth:`flush` assembles them, without changing the batch."""
-        self.wait()
         X = self.X[rows]
         self.flush(rows, 0, X)
         return X
@@ -355,7 +312,6 @@ class ShiftBatch:
         the window is flushed. The rows marked in ``assembled`` already hold
         their iterates; with any of them, the others and the earlier pending
         rows are assembled at once."""
-        self.wait()
         na, k = self.na, self.k
         for r in np.flatnonzero(done):
             broken = self.bad is not None and self.bad[r]
@@ -405,9 +361,8 @@ class ShiftBatch:
 
     def finish(self):
         """Assemble the active and pending rows and return ``X``, put in shift order in place."""
-        self.wait()
         self.flush(slice(0, self.na + self.pending), 0)
-        self.P1 = self.P2 = self.W = self.Vw = self._spare = None
+        self.P1 = self.P2 = self.W = self.Vw = None
         X, row = self.X, self.row.tolist()
         for start in range(self.m):
             if row[start] != start:  # one cycle of the permutation, a row in hand
@@ -635,7 +590,6 @@ def _observed(batch: ShiftBatch) -> SimpleNamespace:
 
     def iterates(ells=None):
         rows = row if ells is None else row[np.asarray(ells, dtype=np.intp)]
-        batch.wait()
         X, live = batch.X[rows], rows < batch.na + batch.pending
         X[live] = batch.iterates(rows[live])
         return X
@@ -732,48 +686,47 @@ def solve_all(
     t0 = time.perf_counter()
     lstate = lanczos_init(A, b_arr)
     bnorm = lstate.bnorm2
-    with ShiftBatch(method, shifts.shifts, lstate.g1, lstate.v_curr, max_iter,
-                    record_history) as batch:
-        target = tol * bnorm
-        rb = max(1, _BLOCK_ELEMS // A.n)  # iterates cocg assembles and checks at a time
-        # the starting residual is b itself (x_0 = 0); shifts already inside the
-        # tolerance never enter the update loop
-        batch.res[:] = bnorm
-        batch.retire(batch.res <= target)
+    batch = ShiftBatch(method, shifts.shifts, lstate.g1, lstate.v_curr, max_iter, record_history)
+    target = tol * bnorm
+    rb = max(1, _BLOCK_ELEMS // A.n)  # iterates cocg assembles and checks at a time
+    # the starting residual is b itself (x_0 = 0); shifts already inside the
+    # tolerance never enter the update loop
+    batch.res[:] = bnorm
+    batch.retire(batch.res <= target)
 
-        iterations, lucky = 0, False
-        for n in range(1, max_iter + 1):
-            if not batch.na:
-                break
-            try:
-                step = lanczos_step(lstate, A, counter=counter)
-            except BreakdownError as exc:
-                for ell in batch.perm[: batch.na]:
-                    batch.status[ell], batch.failure[ell] = "breakdown", str(exc)
-                break
-            iterations = n
-            update(batch, step, counter)
-            est = (estimate_residual_qmr_b(batch, step.v_next_norm) if method in ("cocg", "qmr-sym-b")
-                   else estimate_residual_qmr(batch))
-            assembled = None
-            # cocg checks the rows meeting the target by recurrence, a block at a time
-            if method == "cocg":
-                rows = np.flatnonzero((est <= target) & (True if batch.bad is None else ~batch.bad))
-                assembled = np.zeros(batch.na, dtype=bool)
-                for lo in range(0, len(rows), rb):
-                    r = rows[lo : lo + rb]
-                    X = batch.iterates(r)
-                    est[r] = true_residual(A, batch.sigma[r], b_arr, X, counter=counter)
-                    good = est[r] <= target
-                    batch.X[r[good]], assembled[r[good]] = X[good], True
-            batch.record(n, est, target, bnorm, assembled)
-            if callback is not None:
-                callback(n, _observed(batch))
-            if step.lucky:
-                lucky = True
-                break
+    iterations, lucky = 0, False
+    for n in range(1, max_iter + 1):
+        if not batch.na:
+            break
+        try:
+            step = lanczos_step(lstate, A, counter=counter)
+        except BreakdownError as exc:
+            for ell in batch.perm[: batch.na]:
+                batch.status[ell], batch.failure[ell] = "breakdown", str(exc)
+            break
+        iterations = n
+        update(batch, step, counter)
+        est = (estimate_residual_qmr_b(batch, step.v_next_norm) if method in ("cocg", "qmr-sym-b")
+               else estimate_residual_qmr(batch))
+        assembled = None
+        # cocg checks the rows meeting the target by recurrence, a block at a time
+        if method == "cocg":
+            rows = np.flatnonzero((est <= target) & (True if batch.bad is None else ~batch.bad))
+            assembled = np.zeros(batch.na, dtype=bool)
+            for lo in range(0, len(rows), rb):
+                r = rows[lo : lo + rb]
+                X = batch.iterates(r)
+                est[r] = true_residual(A, batch.sigma[r], b_arr, X, counter=counter)
+                good = est[r] <= target
+                batch.X[r[good]], assembled[r[good]] = X[good], True
+        batch.record(n, est, target, bnorm, assembled)
+        if callback is not None:
+            callback(n, _observed(batch))
+        if step.lucky:
+            lucky = True
+            break
 
-        solutions = batch.finish()
+    solutions = batch.finish()
     wall = time.perf_counter() - t0
     order = batch.row
     final_rel_true = (true_residual(A, shifts.shifts, b_arr, solutions, counter) / bnorm

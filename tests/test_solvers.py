@@ -1,7 +1,4 @@
-import os
-import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -1051,16 +1048,19 @@ class TestCostAccounting:
 
 class TestWindowEngine:
     """Deferred assembly: ``c`` Lanczos steps per window, one GEMM per row
-    block. ``_WINDOW_ELEMS = c * N`` with ``_MIN_WINDOW = 1`` sets the window
-    to ``c`` steps; ``c = 1`` flushes the window at every step."""
+    block. ``_WINDOW_ELEMS = c * N`` with ``_MIN_WINDOW = 1`` and
+    ``_MAX_WINDOW = c`` sets the window to ``c`` steps on a real or a complex
+    basis; ``c = 1`` flushes the window at every step."""
 
     RECURRENCES = ("qmr-sym", "qmr-sym-b", "qmr-sym-omega")
 
     @staticmethod
     def window(monkeypatch, c, n):
-        """Make every window at ``N = n`` ``c`` steps long."""
+        """Make every window at ``N = n`` ``c`` steps long: a complex basis,
+        which doubles ``_WINDOW_ELEMS // N``, is capped at ``c`` too."""
         monkeypatch.setattr(solvers, "_WINDOW_ELEMS", c * n)
         monkeypatch.setattr(solvers, "_MIN_WINDOW", 1)
+        monkeypatch.setattr(solvers, "_MAX_WINDOW", c)
 
     @classmethod
     def solve(cls, monkeypatch, c, A, b, shifts, method, **kw):
@@ -1086,11 +1086,17 @@ class TestWindowEngine:
             self.assert_close(x, x1)
 
     def test_long_basis_keeps_windows_of_eight_steps(self):
-        # _WINDOW_ELEMS // N is 0 from N = 2^18 on: the window keeps 8 steps
-        # unless max_iter is shorter
-        v1 = e1(2**18)
-        assert ShiftBatch("qmr-sym", [0.5j], 1.0, v1, 2 * len(v1)).window == 8
-        assert ShiftBatch("qmr-sym", [0.5j], 1.0, v1, 3).window == 3
+        # _WINDOW_ELEMS // N is 0 from N = 2^18 on: the window keeps 8 steps on
+        # a real basis and 16 on a complex one, unless max_iter is shorter
+        for v1, steps in ((e1(2**18), 8), (e1(2**18, complex), 16)):
+            assert ShiftBatch("qmr-sym", [0.5j], 1.0, v1, 2 * len(v1)).window == steps
+            assert ShiftBatch("qmr-sym", [0.5j], 1.0, v1, 3).window == 3
+
+    @pytest.mark.parametrize("n, real, steps", [(1728, True, 75), (13824, True, 9),
+                                                (13824, False, 18), (512, False, 256)])
+    def test_complex_window_is_twice_as_long(self, n, real, steps):
+        v1 = e1(n, float if real else complex)
+        assert ShiftBatch("qmr-sym-b", [0.5j], 1.0, v1, 2 * n).window == steps
 
     @pytest.mark.parametrize("method", RECURRENCES)
     def test_deflation_on_a_window_boundary(self, monkeypatch, method):
@@ -1155,7 +1161,7 @@ class TestWindowEngine:
         # shifts per row block of a window flush, which assembles x and one or
         # two directions per shift
         targets = 2 if method == "qmr-sym-b" else 3
-        per_block = max(1, solvers._BLOCK_ELEMS // (targets * n))
+        per_block = max(2, solvers._BLOCK_ELEMS // (targets * n))
         family = 0.3 + 0.05 * np.arange(per_block + 3) + 0.002j
         pick = per_block + 1  # in the second row block
         x, fam = solve_all(A, b, family, method=method, tol=1e-12, record_history=True)
@@ -1307,19 +1313,35 @@ class TestWindowEngine:
         assert peak <= arrays + above * 2**20, f"{(peak - arrays) / 2**20:.3f} MiB"
 
 
+# on chain() from e_1 they deflate from step 26 to 170
+CHAIN_SHIFTS = [0.3 + 0.3j, 0.5 + 0.2j, 1.0 + 0.6j, 1.5 + 0.15j, 0.1 + 0.4j, 2.5 + 1j]
+
+
+def chain(n=2**13, real=False):
+    """A disordered chain of ``n`` sites with an absorbing on-site part
+    (real without it), and ``e_1``."""
+    rng = np.random.default_rng(46)
+    i, d = np.arange(n - 1), np.arange(n)
+    onsite = rng.uniform(-0.5, 0.5, n) + (0.0 if real else 0.05j)
+    vals = np.concatenate([-np.ones(2 * (n - 1)), onsite])
+    A = SparseSymMatrix.from_coo(n, np.concatenate([i, i + 1, d]), np.concatenate([i + 1, i, d]),
+                                 vals)
+    return A, e1(n)
+
+
 class TestDeferredRetirement:
     """A retiring shift keeps its window coefficients, zero after its last
     step, and is assembled with the next full window or at the end."""
 
     C = 50  # steps per window
-    # on TestBackgroundFlush's chain of 1000 sites they retire at 12 different
+    # on the chain of 1000 sites they retire at 12 different
     # steps, from 30 to 383, most of them mid-window
     SHIFTS = np.linspace(0.2, 2.4, 12) + 1j * np.linspace(0.1, 0.7, 12)
 
     @classmethod
     def solve(cls, monkeypatch, method, real, **kw):
         TestWindowEngine.window(monkeypatch, cls.C, 1000)
-        A, b = TestBackgroundFlush.chain(1000, real=real)
+        A, b = chain(1000, real=real)
         return solve_all(A, b, cls.SHIFTS, method=method, tol=1e-10, **kw)
 
     @pytest.mark.parametrize("real", [True, False])
@@ -1352,9 +1374,9 @@ class TestDeferredRetirement:
         again, verified = [], {}
         flush = ShiftBatch.flush
 
-        def watched(batch, rows, carry, into=None, window=None):
+        def watched(batch, rows, carry, into=None):
             again.extend(ell for ell in batch.perm[rows] if batch.status[ell] == "converged")
-            return flush(batch, rows, carry, into, window)
+            return flush(batch, rows, carry, into)
 
         def reader(n, state):  # each iterate as its explicit residual verified it
             for ell in np.flatnonzero(state.res <= 1e-10):
@@ -1368,153 +1390,69 @@ class TestDeferredRetirement:
         assert all(np.array_equal(xl, x[ell]) for ell, xl in verified.items())
 
 
-class TestBackgroundFlush:
-    """On a complex basis with ``N >= _BACKGROUND_N`` and an idle core, each
-    full window is flushed on one worker thread while the stream fills a
-    second set of window buffers, with the bits of the synchronous flush."""
+class TestFlushTiling:
+    """A window flush multiplies at least two shifts per GEMM, over column
+    panels of the window where their rows over the whole length would exceed
+    ``_BLOCK_ELEMS`` entries, in the stream's thread. Every row keeps the
+    bits of a product over whole rows."""
 
-    N = 2**13
-    # on the chain below from e_1 they deflate from step 26 to 170, each
-    # inside one of the windows of 16 steps
-    SHIFTS = [0.3 + 0.3j, 0.5 + 0.2j, 1.0 + 0.6j, 1.5 + 0.15j, 0.1 + 0.4j, 2.5 + 1j]
-
-    @staticmethod
-    def chain(n=N, real=False):
-        """A disordered chain of ``n`` sites with an absorbing on-site part
-        (real without it), and ``e_1``."""
-        rng = np.random.default_rng(46)
-        i, d = np.arange(n - 1), np.arange(n)
-        onsite = rng.uniform(-0.5, 0.5, n) + (0.0 if real else 0.05j)
-        vals = np.concatenate([-np.ones(2 * (n - 1)), onsite])
-        A = SparseSymMatrix.from_coo(n, np.concatenate([i, i + 1, d]), np.concatenate([i + 1, i, d]),
-                                     vals)
-        return A, e1(n)
-
-    @pytest.fixture
-    def flushes(self, monkeypatch):
-        """Each flush as ``(on the worker, into)``. The worker sleeps first,
-        so that the stream runs ahead and a missing wait reads a stale ``X``,
-        and the threads switch every microsecond."""
-        monkeypatch.setattr(solvers, "_idle_core", lambda: True)
-        seen = []
-        flush = ShiftBatch.flush
-
-        def slowed(batch, rows, carry, into=None, window=None):
-            worker = threading.current_thread() is not threading.main_thread()
-            seen.append((worker, into is not None))
-            if worker:
-                time.sleep(0.005)
-            return flush(batch, rows, carry, into, window)
-
-        monkeypatch.setattr(ShiftBatch, "flush", slowed)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            yield seen
-        finally:
-            sys.setswitchinterval(interval)
-
-    # with max_iter = 96 the last window is on the worker when the loop ends
-    @pytest.mark.parametrize("max_iter", [None, 96])
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("n", [601, 603])
     @pytest.mark.parametrize("method", METHODS)
-    def test_background_equals_synchronous(self, monkeypatch, flushes, method, max_iter):
-        A, b = self.chain()
-        threads = threading.active_count()
+    def test_tiling_keeps_bits(self, monkeypatch, method, n, real):
+        # windows of 7 steps on a padded width of 608 columns. With
+        # _BLOCK_ELEMS = 600 a GEMM takes 2 of the 6 shifts (3 row blocks) over
+        # 96, 144 or 296 columns (3 to 7 panels, the last to the padded width);
+        # with 2^24 every GEMM takes all 6 shifts over whole rows
+        A, b = chain(n, real=real)
+        family = CHAIN_SHIFTS
+        TestWindowEngine.window(monkeypatch, 7, n)
         runs = []
-        for least_n in (self.N, self.N + 1):
-            monkeypatch.setattr(solvers, "_BACKGROUND_N", least_n)
-            flushes.clear()
+        for elems in (600, 2**24):
+            monkeypatch.setattr(solvers, "_BLOCK_ELEMS", elems)
             counter = FlopCounter()
-            x, rep = solve_all(A, b, self.SHIFTS, method=method, tol=1e-10, max_iter=max_iter,
-                               record_history=True, counter=counter)
-            assert threading.active_count() == threads
-            runs.append((x, rep, counter, sum(w for w, _ in flushes), any(i for _, i in flushes)))
-        (x, rep, counter, handed, assembled), (xs, reps, counters, handed_s, _) = runs
-        if max_iter is None:  # every shift deflates mid-window
-            assert rep.all_converged and rep.iterations > 160 and np.all(rep.iters % 16)
-        else:
-            assert rep.iterations == 96 and rep.status.count("unconverged") == 4
-        assert handed == rep.iterations // 16 and handed_s == 0
-        assert assembled == (method == "cocg")  # cocg's iterates wait for the worker too
-        assert np.array_equal(x, xs)
-        assert list(rep.iters) == list(reps.iters) and rep.status == reps.status
-        assert np.array_equal(rep.final_rel_estimate, reps.final_rel_estimate)
-        assert rep.history == reps.history
-        assert vars(counter) == vars(counters) and vars(rep.flops) == vars(reps.flops)
+            x, rep = solve_all(A, b, family, method=method, tol=1e-10, record_history=True,
+                               counter=counter)
+            runs.append((x, rep, counter))
+        (x, rep, counter), (xw, repw, counterw) = runs
+        assert rep.all_converged and len(set(rep.iters)) > 3 and min(rep.iters) > 7
+        assert np.array_equal(x, xw)
+        assert list(rep.iters) == list(repw.iters) and rep.status == repw.status
+        assert np.array_equal(rep.final_rel_estimate, repw.final_rel_estimate)
+        assert rep.history == repw.history
+        assert vars(counter) == vars(counterw) and vars(rep.flops) == vars(repw.flops)
+        # a shift alone takes its GEMM alone, but has the bits it has in the family
+        monkeypatch.setattr(solvers, "_BLOCK_ELEMS", 600)
+        xs, solo = solve_all(A, b, family[3:4], method=method, tol=1e-10)
+        assert np.array_equal(xs[0], x[3]) and solo.iters[0] == rep.iters[3]
 
-    @pytest.mark.parametrize("method", TestWindowEngine.RECURRENCES)
-    def test_worker_assembles_the_pending_rows(self, monkeypatch, method):
-        monkeypatch.setattr(solvers, "_idle_core", lambda: True)
-        pending = []  # rows past the carrying prefix in each hand-off
-        flush = ShiftBatch.flush
+    # products over whole rows held a GEMM's whole output (at 2^16 one shift's
+    # 2 or 3 rows) and every target's output at once, 4 to 12 MiB above these
+    # arrays; the column panels leave about 0.5 MiB
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("method", ["qmr-sym", "qmr-sym-b"])
+    def test_flush_temporaries_stay_bounded_at_large_n(self, method, real):
+        A, b = chain(2**16, real=real)
+        probe = ShiftBatch(method, CHAIN_SHIFTS[:1], 1.0, b.astype(float if real else complex),
+                           2 * A.n)
+        # X and the directions P1 (and P2), W, the window's basis vectors and
+        # four Lanczos vectors
+        arrays = (probe.X.nbytes * (2 + (probe.Bw is not None)) + probe.Vw.nbytes
+                  + 4 * probe.Vw.itemsize * A.n + (0 if probe.W is None else probe.W.nbytes))
+        window = probe.window
+        del probe
+        tracemalloc.start()
+        try:
+            x, rep = solve_all(A, b, CHAIN_SHIFTS[:1], method=method, tol=1e-10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.all_converged and rep.iterations > 4 * window
+        bound = 4 * 16 * solvers._BLOCK_ELEMS  # four blocks of complex entries: 1 MiB
+        assert peak <= arrays + bound, f"{(peak - arrays) / 2**20:.3f} MiB above the arrays"
 
-        def watched(batch, rows, carry, into=None, window=None):
-            if threading.current_thread() is not threading.main_thread():
-                pending.append(len(batch.perm[rows]) - carry)
-            return flush(batch, rows, carry, into, window)
-
-        monkeypatch.setattr(ShiftBatch, "flush", watched)
-        A, b = self.chain()
-        runs = []
-        for least_n in (self.N, self.N + 1):
-            monkeypatch.setattr(solvers, "_BACKGROUND_N", least_n)
-            runs.append(solve_all(A, b, self.SHIFTS, method=method, tol=1e-10,
-                                  record_history=True))
-        (x, rep), (xs, reps) = runs
-        assert rep.all_converged and np.all(rep.iters % 16) and sum(pending) == len(self.SHIFTS) - 1
-        assert np.array_equal(x, xs) and list(rep.iters) == list(reps.iters)
-        assert np.array_equal(rep.final_rel_estimate, reps.final_rel_estimate)
-        assert rep.history == reps.history
-
-    @pytest.mark.parametrize("method", METHODS)
-    def test_shift_alone_equals_shift_in_family(self, flushes, method):
-        A, b = self.chain()
-        pick = 3  # deflates after four other rows have retired
-        x, fam = solve_all(A, b, self.SHIFTS, method=method, tol=1e-10, record_history=True)
-        xs, solo = solve_all(A, b, self.SHIFTS[pick : pick + 1], method=method, tol=1e-10,
-                             record_history=True)
-        assert sorted(fam.iters).index(fam.iters[pick]) == 4 and any(w for w, _ in flushes)
-        assert fam.iters[pick] == solo.iters[0]
-        assert np.array_equal(x[pick], xs[0])
-        assert fam.history[pick] == solo.history[0]
-        assert fam.final_rel_estimate[pick] == solo.final_rel_estimate[0]
-
-    def test_worker_error_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(solvers, "_idle_core", lambda: True)
-        flush = ShiftBatch.flush
-
-        def failing(batch, rows, carry, into=None, window=None):
-            if threading.current_thread() is not threading.main_thread():
-                raise RuntimeError("flush failed on the worker")
-            return flush(batch, rows, carry, into, window)
-
-        monkeypatch.setattr(ShiftBatch, "flush", failing)
-        A, b = self.chain()
-        threads = threading.active_count()
-        with pytest.raises(RuntimeError, match="on the worker"):
-            solve_all(A, b, self.SHIFTS, method="qmr-sym", tol=1e-10)
-        assert threading.active_count() == threads
-
-    def test_stream_error_stops_the_worker(self, monkeypatch, flushes):
-        steps = []
-
-        def failing(state, A, counter=None):
-            steps.append(1)
-            if len(steps) == 33:  # the window of steps 17..32 is on the worker
-                raise RuntimeError("stream stopped")
-            return lanczos_step(state, A, counter=counter)
-
-        monkeypatch.setattr(solvers, "lanczos_step", failing)
-        A, b = self.chain()
-        threads = threading.active_count()
-        with pytest.raises(RuntimeError, match="stream stopped"):
-            solve_all(A, b, self.SHIFTS, method="qmr-sym-b", tol=1e-10)
-        assert threading.active_count() == threads
-        assert sum(w for w, _ in flushes) == 2
-
-    @pytest.mark.parametrize("case", ["background", "real", "shorter", "no idle core"])
-    def test_one_thread_only_on_the_background_path(self, monkeypatch, case):
-        monkeypatch.setattr(solvers, "_idle_core", lambda: case != "no idle core")
+    def test_no_thread_on_a_long_complex_basis(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         started = []
         start = threading.Thread.start
 
@@ -1523,24 +1461,22 @@ class TestBackgroundFlush:
             return start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", counting)
-        A, b = self.chain(self.N - (case == "shorter"), real=case == "real")
-        for method in ("qmr-sym", "cocg"):
-            started.clear()
-            _, rep = solve_all(A, b, self.SHIFTS, method=method, tol=1e-10)
-            assert rep.all_converged and rep.iterations > 32
-            assert len(started) == (case == "background")
+        A, b = chain()
+        threads = threading.active_count()
+        for method in METHODS:
+            _, rep = solve_all(A, b, CHAIN_SHIFTS, method=method, tol=1e-10)
+            assert rep.all_converged and rep.iterations > 64  # several windows of 32 steps
+            assert started == [] and threading.active_count() == threads
 
-    @pytest.mark.parametrize("env, cores, idle", [
-        ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
-        ({"OMP_NUM_THREADS": "1"}, 4, True),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 1, False),
-        ({}, 2, False),
-        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, False),
-    ])
-    def test_idle_core_needs_one_blas_thread_and_two_cores(self, monkeypatch, env, cores, idle):
-        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
-        assert solvers._idle_core() is idle
+    @pytest.mark.parametrize("method", METHODS)
+    def test_shift_alone_equals_shift_in_family(self, method):
+        A, b = chain()
+        pick = 3  # deflates after four other rows have retired
+        x, fam = solve_all(A, b, CHAIN_SHIFTS, method=method, tol=1e-10, record_history=True)
+        xs, solo = solve_all(A, b, CHAIN_SHIFTS[pick : pick + 1], method=method, tol=1e-10,
+                             record_history=True)
+        assert sorted(fam.iters).index(fam.iters[pick]) == 4
+        assert fam.iters[pick] == solo.iters[0]
+        assert np.array_equal(x[pick], xs[0])
+        assert fam.history[pick] == solo.history[0]
+        assert fam.final_rel_estimate[pick] == solo.final_rel_estimate[0]

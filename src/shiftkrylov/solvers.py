@@ -3,58 +3,47 @@
 Four methods consume the same Lanczos step data:
 
 * ``qmr-sym`` -- quasi-minimal residual via Givens rotations on the shifted
-  tridiagonal column; three-term direction recurrence (6N+3 update ops per
-  shift per step).
-* ``qmr-sym-b`` -- the bidiagonal-weight variant: a single elimination scalar
-  replaces the rotations and the direction recurrence drops to two terms
-  (4N+2 ops per shift per step).
-* ``qmr-sym-omega`` -- rotation variant with the active column scaled
-  row-wise by the basis 2-norms ``omega_i = ||v_i||``, minimizing the
-  2-norm-weighted quasi-residual.
-* ``cocg`` -- Galerkin baseline. Its iterates coincide with the shifted
-  conjugate-orthogonal CG iterates, which this implementation realizes
-  through the *same* two-term recurrences as ``qmr-sym-b`` (the projected
-  Galerkin system and the bidiagonal-weight least-squares problem have the
-  same solution). It is kept as a distinct method because it deflates a
-  shift only once its explicit residual ``||b - (A + sigma I) x||``
-  (:func:`true_residual`) meets the tolerance too, and reports that residual.
+  tridiagonal column, three-term directions (6N+3 ops per shift per step).
+* ``qmr-sym-b`` -- the bidiagonal-weight variant: one elimination scalar
+  replaces the rotations, two-term directions (4N+2 ops per shift per step).
+* ``qmr-sym-omega`` -- the rotations on the column scaled row-wise by the
+  basis 2-norms ``omega_i = ||v_i||``, minimizing the weighted quasi-residual.
+* ``cocg`` -- the Galerkin baseline, whose shifted conjugate-orthogonal CG
+  iterates the recurrences of ``qmr-sym-b`` produce. A shift deflates only
+  once its explicit residual ``||b - (A + sigma I) x||`` (:func:`true_residual`)
+  meets the tolerance too, and that residual is reported.
 
 All shifts of a solve live in one :class:`ShiftBatch`, one row per shift of
 the ``m x N`` arrays ``X``, ``P1`` (``P2``) and, for rotations on a complex
-basis, ``W``; scalar state lives in ``m``-vectors. The active shifts form a
-contiguous prefix of the rows. A method's update runs its scalar recurrence
-once per Lanczos step over that prefix and emits per shift the coefficients
-of ``p_n = v_n - a_n p_{n-1} - b_n p_{n-2}`` (``b_n = 0`` for the two-term
-methods) and ``x_n = x_{n-1} + d_n p_n``. It keeps ``v_n`` in a window of
-``c = max(8, _WINDOW_ELEMS // N)`` steps on a real basis and twice that on a
-complex one (at most 256). When the window fills, one backward sweep over the
-coefficients expresses ``x`` and the carried directions in the window's basis
-vectors, and GEMMs of at least two shifts each apply them, over column panels
-of the window where those rows over the whole length would exceed a bounded
-block (the deferred assembly of Frommer and Simoncini, "Matrix functions",
-*Model Order Reduction*, 2008). A shift that deflates or breaks down keeps
-its coefficients, zero after its last step, and is assembled with the next
-window flush, or at the end with the others; ``X`` is then put in shift
-order in place. The directions are zero until a window carries them, and are
-only made then, so memory is ``O(mN + cN + cm)`` with one ``m x N`` array
-when every shift deflates within a window; the coefficient rows grow with
-the window's steps. Every flush runs in the stream's thread, and no thread
-is started. ``W`` is updated one row at a time in place by NumPy (``w *= -s``,
-then ``w += c v`` through one reused buffer; SciPy's threaded level-1 BLAS
-competed with NumPy's for the cores), and each row's norm (``dznrm2``) is
-taken in the same visit and kept for the estimate. ``cocg`` checks, a block
-at a time, each shift whose recurrence value meets the tolerance on its
-iterate, assembled without changing the batch. A callback reads copies of
-the scalars and asks for iterates assembled the same way, and a recorded
-history keeps the values the deflation test reads: both only observe, and
-the solve has the same bits without them. Every product rounds a shift's row independently of the rows
-computed with it (see the notes at the products), so a shift's results do
-not depend on which other shifts are solved with it.
+basis, ``W``; scalar state lives in ``m``-vectors, and the active shifts form
+a contiguous prefix of the rows. Each method is one row of the table
+``_METHODS`` (its update, estimate, scalar fields and carried directions, and
+whether a shift must pass ``cocg``'s explicit check, ``_check_explicitly``,
+before it deflates), and :func:`solve_all` runs one loop for all four. An
+update runs its scalar recurrence once per Lanczos step over the active
+prefix and emits per shift the coefficients of ``p_n = v_n - a_n p_{n-1} -
+b_n p_{n-2}`` (``b_n = 0`` for the two-term methods) and ``x_n = x_{n-1} +
+d_n p_n``. The batch's :class:`_Window` keeps ``v_n``; when it fills, one
+backward sweep over the coefficients expresses ``x`` and the carried
+directions in its basis vectors, and GEMMs of at least two shifts each apply
+them over bounded column panels, in the stream's thread (the deferred
+assembly of Frommer and Simoncini, "Matrix functions", *Model Order
+Reduction*, 2008). A shift that deflates or breaks down keeps its
+coefficients, zero after its last step, and is assembled with the next
+window flush or at the end; ``X`` is then put in shift order in place. The
+directions are only made when a window carries them, so memory is ``O(mN +
+cN + cm)`` for windows of ``c`` steps. A callback and a recorded history
+only observe: the solve has the same bits without them. Every product rounds
+a shift's row independently of the rows computed with it (see the notes at
+the products), so a shift's results do not depend on which other shifts are
+solved with it.
 """
 
 from __future__ import annotations
 
+import operator
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -79,8 +68,6 @@ __all__ = [
     "solve_all",
     "true_residual",
 ]
-
-METHODS = ("cocg", "qmr-sym", "qmr-sym-b", "qmr-sym-omega")
 
 # Nominal least-squares scalar-op charges per shift update.
 _LSQ_OPS_ROTATION = 26
@@ -110,68 +97,53 @@ _MAX_WINDOW = 256
 
 
 class ShiftBatch:
-    """State of every shift of one solve, one row per shift.
+    """State of every shift of one solve by ``method``, one row per shift.
 
-    ``window`` is the number of Lanczos steps assembled at once,
-    ``min(c, _MAX_WINDOW, max_iter)`` with ``c = max(_MIN_WINDOW,
-    _WINDOW_ELEMS // N)`` on a real basis and ``2 c`` on a complex one;
-    between flushes ``X`` holds the iterates at the window's start and
-    :meth:`iterates` assembles the current ones. Rows ``:na`` are the active
-    shifts, and the ``pending`` rows after them retired
-    within the window and are assembled when it is flushed (their coefficients
-    after their last step are zero); ``perm[r]`` is the shift in row ``r`` and
-    ``row[l]`` the row of shift ``l``. ``P1``/``P2`` are ``None`` (zero) until
-    the first carrying flush, then have the ``na`` rows of that moment.
-    ``bad`` marks the rows whose pivot vanished at the last step (or is
-    ``None``): they keep their previous step's state.
+    ``window`` is the solve's :class:`_Window`; between its flushes ``X``
+    holds the iterates at the window's start and :meth:`iterates` assembles
+    the current ones. Rows ``:na`` are the active shifts, and the ``pending``
+    rows after them retired within the window and are assembled when it is
+    flushed (their coefficients after their last step are zero); ``perm[r]``
+    is the shift in row ``r`` and ``row[l]`` the row of shift ``l``.
+    ``P1``/``P2`` are ``None`` (zero) until the first carrying flush, then
+    have the ``na`` rows of that moment. ``bad`` marks the rows whose pivot
+    vanished at the last step (or is ``None``): they keep their previous
+    step's state.
     """
 
     def __init__(self, method, shifts, g1, v1, max_iter, record_history=False):
+        spec = _METHODS[method]
         self.sigma = np.array(shifts, dtype=np.complex128).ravel()
         m, n = len(self.sigma), len(v1)
         self.m, self.n, self.na = m, n, m
-        self.real = v1.dtype.kind != "c"
+        self.window = _Window(v1, max_iter)
+        self.real = self.window.real
         self.perm, self.row = np.arange(m), np.arange(m)
         self.g = np.full(m, complex(g1))
         self.res = np.full(m, np.inf)
         self.niter = np.zeros(m, dtype=np.int64)
         self.X = np.zeros((m, n), dtype=np.complex128)
-        rotation = method in ("qmr-sym", "qmr-sym-omega")
         omega1 = 1.0
-        if method == "qmr-sym-omega":
+        if spec.weighted:
             omega1 = _norm2(v1)
             self.omegas = (1.0, omega1)  # omega_{n-1} multiplies beta_0 = 0
             self.g *= omega1
         # no w on a real basis: there v^T v = v^H v = 1 keeps ||w|| at one
+        rotation = spec.directions == 2
         self.W = None if self.real or not rotation else np.tile(v1.astype(complex) / omega1, (m, 1))
-        self.diag1 = np.zeros(m, dtype=np.complex128)
-        fields = ["sigma", "perm", "g", "res", "niter", "X", "diag1"]
-        if self.W is not None:  # ||w|| per row, taken where w is updated
-            self.wnorm = np.full(m, _norm2(self.W[0]))
-            fields += ["W", "wnorm"]
-        if rotation:
-            self.diag2, self.s1, self.s2 = (np.zeros(m, dtype=np.complex128) for _ in range(3))
-            self.c1, self.c2 = np.zeros(m), np.zeros(m)
-            fields += ["diag2", "c1", "s1", "c2", "s2"]
-        else:
-            self.f = np.zeros(m, dtype=np.complex128)
-            fields.append("f")
-        self._fields = fields
+        self.wnorm = None if self.W is None else np.full(m, _norm2(self.W[0]))  # ||w|| per row
+        for name, dtype in spec.state:
+            setattr(self, name, np.zeros(m, dtype=dtype))
+        # the per-shift arrays that retire permutes, None where a method has none
+        self._fields = ["sigma", "perm", "g", "res", "niter", "X", "W", "wnorm", "P1", "P2"]
+        self._fields += [name for name, _ in spec.state]
         self.status, self.failure = ["unconverged"] * m, [None] * m
         self.history = [[] for _ in range(m)] if record_history else None
         self.bad = None
-        steps = max(_MIN_WINDOW, _WINDOW_ELEMS // n)
-        self.window = min(steps if self.real else 2 * steps, _MAX_WINDOW, max_iter)
-        self.k = 0  # steps held in the window
         self.P1 = self.P2 = None  # the directions are zero until a window carries them
-        # columns padded to a multiple of 8: OpenBLAS's small dgemm
-        # kernel otherwise rounds a row by its position among the rows
-        self.Vw = np.zeros((self.window, -(-n // 8) * 8), dtype=v1.dtype)
-        # coefficient rows 0 and 1 stand for the carried p_{s-2}, p_{s-1};
-        # rows for 30 steps first, then _advance doubles them up to window + 2
-        shape = (min(self.window + 2, 32), m)
-        self.Dw, self.Aw = np.zeros(shape, complex), np.zeros(shape, complex)
-        self.Bw = np.zeros(shape, complex) if rotation else None
+        # coefficient rows of d, a (and b); rows 0 and 1 stand for the carried
+        # p_{s-2}, p_{s-1}; rows for 30 steps first, then _step_rows doubles them
+        self.coef = np.zeros((1 + spec.directions, min(self.window.steps + 2, 32), m), complex)
         self.pending = 0
 
     def _pivots(self, t, n, kind, what):
@@ -188,25 +160,24 @@ class ShiftBatch:
         return np.where(bad, 1.0, t)
 
     def _step_rows(self):
-        """The window rows that the coming step's ``d``, ``a`` and ``b`` (or
-        ``None``) are written into, over the active prefix."""
-        k, na = self.k, self.na
-        if k + 2 == len(self.Dw):  # coefficient rows full: double them, up to window + 2
-            more = np.zeros((min(k + 2, self.window - k), self.m), complex)
-            self.Dw, self.Aw, self.Bw = (None if arr is None else np.concatenate((arr, more))
-                                         for arr in (self.Dw, self.Aw, self.Bw))
-        Dw, Aw, Bw = self.Dw, self.Aw, self.Bw
-        return Dw[k + 2, :na], Aw[k + 2, :na], None if Bw is None else Bw[k + 2, :na]
+        """The coefficient rows that the coming step's ``d``, ``a`` and ``b``
+        (or ``None``) are written into, over the active prefix."""
+        k = self.window.k
+        if k + 2 == self.coef.shape[1]:  # coefficient rows full: double them, up to window + 2
+            more = np.zeros((len(self.coef), min(k + 2, self.window.steps - k), self.m), complex)
+            self.coef = np.concatenate((self.coef, more), axis=1)
+        rows = self.coef[:, k + 2, : self.na]  # indexed, not unpacked: a view per row is cheaper
+        return rows[0], rows[1], rows[2] if len(rows) == 3 else None
 
     def _advance(self, step, g_new, ops, lsq, counter):
         """Finish one step over the active prefix, whose coefficients are in
-        its :meth:`_step_rows`: freeze broken rows, charge the updates, store ``v_n``."""
-        na, n, bad, k = self.na, step.n, self.bad, self.k
+        its :meth:`_step_rows`: freeze broken rows, charge the updates, store
+        ``v_n``, and flush a full window into the active prefix, advancing its
+        directions, and into the pending rows."""
+        na, n, bad, k = self.na, step.n, self.bad, self.window.k
         self.niter[:na] = n
         if bad is not None:
-            for arr in (self.Dw, self.Aw, self.Bw):
-                if arr is not None:
-                    arr[k + 2, :na][bad] = 0.0
+            self.coef[:, k + 2, :na][:, bad] = 0.0
             g_new[bad] = self.g[:na][bad]
             self.niter[:na][bad] = n - 1
         self.g[:na] = g_new
@@ -214,35 +185,117 @@ class ShiftBatch:
             updated = na if bad is None else na - int(np.count_nonzero(bad))
             counter.add_shift_update(ops * updated)
             counter.add_least_squares(lsq * updated)
-        self.Vw[k, : self.n] = step.v
-        self.k = k + 1
-        if self.k == self.window:
-            self._flush_window()
+        if self.window.push(step.v):
+            self.window.sweep(self, slice(0, na + self.pending), na)
+            self.window.k = self.pending = 0
 
-    def _flush_window(self):
-        """Flush the full window into the active prefix, advancing its
-        directions, and into the pending rows."""
-        self.flush(slice(0, self.na + self.pending), self.na)
-        self.k = self.pending = 0
+    def iterates(self, rows):
+        """The current iterates of ``rows`` (an index array), assembled as a
+        window flush assembles them, without changing the batch."""
+        X = self.X[rows]
+        self.window.sweep(self, rows, 0, X)
+        return X
 
-    def flush(self, rows, carry, into=None):
+    def retire(self, done, assembled=None):
+        """Take the rows marked in ``done`` (over the active prefix) out of it:
+        record their status and move them behind the survivors, pending until
+        the window is flushed. The rows marked in ``assembled`` already hold
+        their iterates; with any of them, the others and the earlier pending
+        rows are assembled at once."""
+        na, k = self.na, self.window.k
+        for r in np.flatnonzero(done):
+            broken = self.bad is not None and self.bad[r]
+            self.status[self.perm[r]] = "breakdown" if broken else "converged"
+        keep = na - int(np.count_nonzero(done))
+        dst = np.flatnonzero(done[:keep])
+        if len(dst):
+            src = keep + np.flatnonzero(~done[keep:])
+            a, b = np.concatenate((dst, src)), np.concatenate((src, dst))
+            for arr in [getattr(self, name) for name in self._fields]:
+                if arr is not None:
+                    arr[a] = arr[b]
+            self.coef[:, : k + 2, a] = self.coef[:, : k + 2, b]  # at k = 0 rows 0, 1: zero
+            self.row[self.perm[a]] = a
+            if assembled is not None:
+                assembled[a] = assembled[b]
+        self.na = keep
+        if k and assembled is not None and np.count_nonzero(assembled[keep:na]):
+            # the others are assembled now, with the rows retired earlier in the window
+            self.window.sweep(self, np.concatenate((keep + np.flatnonzero(~assembled[keep:na]),
+                                                    np.arange(na, na + self.pending))), 0)
+            self.pending = 0
+        elif k:  # pending: zero coefficients after this step add nothing to a sweep
+            self.coef[:, k + 2 :, keep:na] = 0.0
+            self.pending += na - keep
+
+    def record(self, n, est, target, bnorm, assembled=None):
+        """Store the step-``n`` residuals ``est`` of the active prefix (broken
+        rows keep their previous value), then retire the broken rows and the
+        rows meeting ``target``. The rows marked in ``assembled`` (which all
+        retire now) already hold their iterates in ``X``."""
+        na, bad = self.na, self.bad
+        live = slice(None) if bad is None else ~bad
+        res = self.res[:na]
+        res[live] = est[live]
+        done = res <= target if bad is None else bad | (res <= target)
+        if self.history is not None:  # one (n, relative residual) pair per live shift
+            for ell, rel in zip(self.perm[:na][live].tolist(), (res[live] / bnorm).tolist()):
+                self.history[ell].append((n, rel))
+        if np.count_nonzero(done):
+            self.retire(done, assembled)
+
+    def finish(self):
+        """Assemble the active and pending rows and return ``X``, put in shift order in place."""
+        self.window.sweep(self, slice(0, self.na + self.pending), 0)
+        self.P1 = self.P2 = self.W = self.window.Vw = None
+        X, row = self.X, self.row.tolist()
+        for start in range(self.m):
+            if row[start] != start:  # one cycle of the permutation, a row in hand
+                ell, held = start, X[start].copy()
+                while row[ell] != start:  # row ell takes shift ell from row row[ell]
+                    X[ell], row[ell], ell = X[row[ell]], ell, row[ell]
+                X[ell], row[ell] = held, ell
+        return X
+
+
+class _Window:
+    """The assembly window of one Lanczos stream: the basis vectors of its
+    last ``k`` steps in the rows of ``Vw``, at most ``steps = min(c,
+    _MAX_WINDOW, max_iter)`` with ``c = max(_MIN_WINDOW, _WINDOW_ELEMS // N)``
+    on a real basis and ``2 c`` on a complex one."""
+
+    def __init__(self, v1, max_iter):
+        self.n, self.real, self.k = len(v1), v1.dtype.kind != "c", 0
+        steps = max(_MIN_WINDOW, _WINDOW_ELEMS // self.n)
+        self.steps = min(steps if self.real else 2 * steps, _MAX_WINDOW, max_iter)
+        # columns padded to a multiple of 8: OpenBLAS's small dgemm
+        # kernel otherwise rounds a row by its position among the rows
+        self.Vw = np.zeros((self.steps, -(-self.n // 8) * 8), dtype=v1.dtype)
+
+    def push(self, v):
+        """Store the step's basis vector; return whether the window is full."""
+        self.Vw[self.k, : self.n] = v
+        self.k += 1
+        return self.k == self.steps
+
+    def sweep(self, batch, rows, carry, into=None):
         """Add the window's steps to the iterates of ``rows`` (a slice or index
-        array), or to ``into`` (a copy of their ``X``) leaving the batch as it is.
-        Also advance the directions of the first ``carry`` rows (``rows`` is
-        then a slice from row 0) to the window's last step. The rows are swept
-        a bounded block at a time, and each block's products are formed and
-        applied a bounded panel of columns at a time."""
-        k, Vw, Dw, Aw, Bw = self.k, self.Vw, self.Dw, self.Aw, self.Bw
-        h = len(self.perm[rows])
+        array) of ``batch`` by its coefficient rows ``coef``, or to ``into`` (a
+        copy of their ``X``), and advance the directions ``P1`` (``P2``) of the
+        first ``carry`` rows (``rows`` is then a slice from row 0) to the
+        window's last step. The rows are swept a bounded block at a time, and
+        each block's products a bounded panel of columns at a time."""
+        k, Vw, (Dw, Aw, Bw) = self.k, self.Vw, (*batch.coef, None)[:3]
+        h = len(batch.perm[rows])
         if k == 0 or h == 0:
             return
         part = ((lambda lo, hi: slice(rows.start + lo, rows.start + hi))  # rows lo .. hi-1 of rows
                 if isinstance(rows, slice) else (lambda lo, hi: rows[lo:hi]))
         ndir = 0 if not carry else 1 if Bw is None else 2  # directions carried per row
-        carried = [P for P in (self.P1, self.P2) if P is not None]
+        carried = [P for P in (batch.P1, batch.P2) if P is not None]
         if carry and not carried:  # zero directions add nothing; every row is written below
-            self.P1 = np.empty((carry, self.n), dtype=np.complex128)
-            self.P2 = None if Bw is None else np.empty_like(self.P1)
+            batch.P1 = np.empty((carry, self.n), dtype=np.complex128)
+            batch.P2 = None if Bw is None else np.empty_like(batch.P1)
         hb = max(2, _BLOCK_ELEMS // ((1 + ndir) * self.n))  # shifts per GEMM
         # columns per GEMM, a multiple of 8; the last panel runs to the padded
         # width, so that every product has a width that rounds rows alike
@@ -294,83 +347,10 @@ class ShiftBatch:
                     if into is not None:
                         into[lo + glo : lo + ghi, cols] += out
                     else:
-                        self.X[rt, cols] += out
-                    for P, (rt, out) in zip((self.P1, self.P2), directions):
+                        batch.X[rt, cols] += out
+                    for P, (rt, out) in zip((batch.P1, batch.P2), directions):
                         P[rt, cols] = out
                     del G, new, out, directions  # before the next panel's product is made
-
-    def iterates(self, rows):
-        """The current iterates of ``rows`` (an index array), assembled as
-        :meth:`flush` assembles them, without changing the batch."""
-        X = self.X[rows]
-        self.flush(rows, 0, X)
-        return X
-
-    def retire(self, done, assembled=None):
-        """Take the rows marked in ``done`` (over the active prefix) out of it:
-        record their status and move them behind the survivors, pending until
-        the window is flushed. The rows marked in ``assembled`` already hold
-        their iterates; with any of them, the others and the earlier pending
-        rows are assembled at once."""
-        na, k = self.na, self.k
-        for r in np.flatnonzero(done):
-            broken = self.bad is not None and self.bad[r]
-            self.status[self.perm[r]] = "breakdown" if broken else "converged"
-        keep = na - int(np.count_nonzero(done))
-        dst = np.flatnonzero(done[:keep])
-        if len(dst):
-            src = keep + np.flatnonzero(~done[keep:])
-            a, b = np.concatenate((dst, src)), np.concatenate((src, dst))
-            for arr in [getattr(self, name) for name in self._fields] + [self.P1, self.P2]:
-                if arr is not None:
-                    arr[a] = arr[b]
-            if k:
-                for arr in (self.Dw, self.Aw, self.Bw):
-                    if arr is not None:
-                        arr[: k + 2, a] = arr[: k + 2, b]
-            self.row[self.perm[a]] = a
-            if assembled is not None:
-                assembled[a] = assembled[b]
-        self.na = keep
-        if k and assembled is not None and np.count_nonzero(assembled[keep:na]):
-            # the others are assembled now, with the rows retired earlier in the window
-            self.flush(np.concatenate((keep + np.flatnonzero(~assembled[keep:na]),
-                                       np.arange(na, na + self.pending))), 0)
-            self.pending = 0
-        elif k:  # pending: zero coefficients after this step add nothing to a sweep
-            for arr in (self.Dw, self.Aw, self.Bw):
-                if arr is not None:
-                    arr[k + 2 :, keep:na] = 0.0
-            self.pending += na - keep
-
-    def record(self, n, est, target, bnorm, assembled=None):
-        """Store the step-``n`` residuals ``est`` of the active prefix (broken
-        rows keep their previous value), then retire the broken rows and the
-        rows meeting ``target``. The rows marked in ``assembled`` (which all
-        retire now) already hold their iterates in ``X``."""
-        na, bad = self.na, self.bad
-        live = slice(None) if bad is None else ~bad
-        res = self.res[:na]
-        res[live] = est[live]
-        done = res <= target if bad is None else bad | (res <= target)
-        if self.history is not None:  # one (n, relative residual) pair per live shift
-            for ell, rel in zip(self.perm[:na][live].tolist(), (res[live] / bnorm).tolist()):
-                self.history[ell].append((n, rel))
-        if np.count_nonzero(done):
-            self.retire(done, assembled)
-
-    def finish(self):
-        """Assemble the active and pending rows and return ``X``, put in shift order in place."""
-        self.flush(slice(0, self.na + self.pending), 0)
-        self.P1 = self.P2 = self.W = self.Vw = None
-        X, row = self.X, self.row.tolist()
-        for start in range(self.m):
-            if row[start] != start:  # one cycle of the permutation, a row in hand
-                ell, held = start, X[start].copy()
-                while row[ell] != start:  # row ell takes shift ell from row row[ell]
-                    X[ell], row[ell], ell = X[row[ell]], ell, row[ell]
-                X[ell], row[ell] = held, ell
-        return X
 
 
 def _abs(z: np.ndarray) -> np.ndarray:
@@ -390,21 +370,25 @@ def _rotation_update(batch: ShiftBatch, step: LanczosStep, omegas, scale, counte
     t_np1 = om_np1 * complex(step.beta)
     if n > 2:
         t_nm2, t_nm1 = batch.s2[:na] * t_nm1, batch.c2[:na] * t_nm1
-    if n > 1:
-        c1, s1 = batch.c1[:na], batch.s1[:na]
-        t_nm1, t_n = c1 * t_nm1 + s1 * t_n, -np.conj(s1) * t_nm1 + c1 * t_n
+    if n > 1:  # f = -sbar of the last step, which is -conj(s1)
+        c1 = batch.c1[:na]
+        t_nm1, t_n = c1 * t_nm1 + batch.s1[:na] * t_n, batch.f[:na] * t_nm1 + c1 * t_n
     t_n = batch._pivots(t_n, n, "rotation", "zero pivot")
+    # this step's c, s and pivot overwrite step n-2's, then the names swap
     abs_n = _abs(t_n)
-    c = abs_n / np.hypot(abs_n, abs(t_np1))
+    c = np.divide(abs_n, np.hypot(abs_n, abs(t_np1)), out=batch.c2[:na])
     sbar = (t_np1 / t_n) * c
-    s = np.conj(sbar)
-    t_final = c * t_n + s * t_np1
+    s = np.conj(sbar, out=batch.s2[:na])
+    f = np.negative(sbar, out=batch.f[:na])
     g = batch.g[:na]
     d, a, b = batch._step_rows()  # written in place, as in d = (c * g) / t_final
+    np.divide(t_nm2, batch.diag2[:na], out=b) if n > 2 else b.fill(0.0)
+    t_final = np.add(c * t_n, s * t_np1, out=batch.diag2[:na])
     np.divide(c * g, t_final, out=d)
     np.divide(t_nm1, batch.diag1[:na], out=a) if n > 1 else a.fill(0.0)
-    np.divide(t_nm2, batch.diag2[:na], out=b) if n > 2 else b.fill(0.0)
-    if batch.W is not None:  # each row once, in place: scale, add, then its norm
+    # each row once, in place: scale, add, then its norm; by NumPy, since SciPy's
+    # threaded level-1 BLAS competed with NumPy's for the cores
+    if batch.W is not None:
         cu = c * scale
         buf = np.empty_like(step.v_next)
         for r in range(na):
@@ -412,9 +396,9 @@ def _rotation_update(batch: ShiftBatch, step: LanczosStep, omegas, scale, counte
             w *= -s[r]
             w += np.multiply(step.v_next, cu[r], out=buf)
             batch.wnorm[r] = _norm2(w)
-    batch.c2[:na], batch.s2[:na], batch.diag2[:na] = batch.c1[:na], batch.s1[:na], batch.diag1[:na]
-    batch.c1[:na], batch.s1[:na], batch.diag1[:na] = c, s, t_final
-    batch._advance(step, -sbar * g, 6 * batch.n + 3, _LSQ_OPS_ROTATION, counter)
+    batch.c1, batch.c2, batch.s1, batch.s2 = batch.c2, batch.c1, batch.s2, batch.s1
+    batch.diag1, batch.diag2 = batch.diag2, batch.diag1
+    batch._advance(step, f * g, 6 * batch.n + 3, _LSQ_OPS_ROTATION, counter)
 
 
 def qmr_sym_update(batch: ShiftBatch, step: LanczosStep, counter: FlopCounter | None = None):
@@ -477,9 +461,8 @@ def qmr_sym_b_update(batch: ShiftBatch, step: LanczosStep, counter: FlopCounter 
 
 # The Galerkin baseline's step: its iterate solves ``(T_n + sigma I_n) y =
 # g_1 e_1`` and so equals the shifted conjugate-orthogonal-CG iterate, which
-# the recurrences of qmr_sym_b_update produce; solve_all checks this method's
-# residuals explicitly before it deflates a shift. A name of its own, so that
-# a wrapper of one method's update leaves the other's alone.
+# the recurrences of qmr_sym_b_update produce. A name of its own, so that a
+# wrapper of one method's update leaves the other's alone.
 cocg_galerkin_update = qmr_sym_b_update
 
 
@@ -531,7 +514,8 @@ def true_residual(A: SparseSymMatrix, sigma, b, x, counter: FlopCounter | None =
         # when the dtypes allow; every entry is rounded as in b - A x - sigma x
         dtype = np.result_type(RT, b, sigmas, XT)
         RT = np.subtract(b[:, None], RT, out=RT if RT.dtype == dtype else None, dtype=dtype)
-        RT -= XT * sigmas[lo : lo + rb]
+        for i in range(0, A.n, _BLOCK_ELEMS):  # sigma x a bounded block at a time
+            RT[i : i + _BLOCK_ELEMS] -= XT[i : i + _BLOCK_ELEMS] * sigmas[lo : lo + rb]
         R = np.ascontiguousarray(RT.T)
         if R.dtype.kind == "c":
             R = R.view(np.float64)
@@ -604,6 +588,46 @@ def _check_finite(values: np.ndarray, name: str):
         raise ValueError(f"{name}[{bad[0]}] = {values[bad[0]]} is not finite")
 
 
+def _check_explicitly(A, b, batch, est, target, counter):
+    """Put into ``est`` the explicit residuals of the active rows whose value
+    meets ``target``, assembled ``max(1, _BLOCK_ELEMS // N)`` at a time, and
+    return the rows whose iterate passed, which are written into ``X``."""
+    rows = np.flatnonzero((est <= target) & (True if batch.bad is None else ~batch.bad))
+    assembled, rb = np.zeros(batch.na, dtype=bool), max(1, _BLOCK_ELEMS // A.n)
+    for lo in range(0, len(rows), rb):
+        r = rows[lo : lo + rb]
+        X = batch.iterates(r)
+        est[r] = true_residual(A, batch.sigma[r], b, X, counter=counter)
+        good = est[r] <= target
+        batch.X[r[good]], assembled[r[good]] = X[good], True
+    return assembled
+
+
+# One method as data. update(batch, step, counter) and estimate(batch, step)
+# call this module's functions by name, so that a replaced global is called.
+# state: the per-shift scalars (f is the factor of g, -sbar for the rotations);
+# directions: 2 for the rotations, which keep w on a complex basis, else 1.
+_Method = namedtuple("_Method", "update estimate state directions weighted check",
+                     defaults=(False, None))
+_ELIMINATION = (("diag1", complex), ("f", complex))
+_ROTATION = _ELIMINATION + (("diag2", complex), ("s1", complex), ("s2", complex),
+                            ("c1", float), ("c2", float))
+_METHODS = {
+    "cocg": _Method(lambda *args: cocg_galerkin_update(*args),
+                    lambda batch, step: estimate_residual_qmr_b(batch, step.v_next_norm),
+                    _ELIMINATION, 1, check=_check_explicitly),
+    "qmr-sym": _Method(lambda *args: qmr_sym_update(*args),
+                       lambda batch, step: estimate_residual_qmr(batch), _ROTATION, 2),
+    "qmr-sym-b": _Method(lambda *args: qmr_sym_b_update(*args),
+                         lambda batch, step: estimate_residual_qmr_b(batch, step.v_next_norm),
+                         _ELIMINATION, 1),
+    "qmr-sym-omega": _Method(lambda *args: qmr_sym_omega_update(*args),
+                             lambda batch, step: estimate_residual_qmr(batch), _ROTATION, 2,
+                             weighted=True),
+}
+METHODS = tuple(_METHODS)
+
+
 def solve_all(
     A: SparseSymMatrix,
     b,
@@ -671,24 +695,23 @@ def solve_all(
         raise ValueError(f"tol must be finite, got {tol}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if max_iter is None:
-        max_iter = 2 * A.n
+    try:
+        max_iter = operator.index(2 * A.n if max_iter is None else max_iter)
+    except TypeError:
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}") from None
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     b_arr = np.asarray(b)
     _check_finite(shifts.shifts, "shifts")
     _check_finite(b_arr, "b")
     counter = counter if counter is not None else FlopCounter()
-    # looked up at every solve, so that a replaced module global is the one called
-    update = {"cocg": cocg_galerkin_update, "qmr-sym": qmr_sym_update,
-              "qmr-sym-b": qmr_sym_b_update, "qmr-sym-omega": qmr_sym_omega_update}[method]
+    spec = _METHODS[method]
 
     t0 = time.perf_counter()
     lstate = lanczos_init(A, b_arr)
     bnorm = lstate.bnorm2
     batch = ShiftBatch(method, shifts.shifts, lstate.g1, lstate.v_curr, max_iter, record_history)
     target = tol * bnorm
-    rb = max(1, _BLOCK_ELEMS // A.n)  # iterates cocg assembles and checks at a time
     # the starting residual is b itself (x_0 = 0); shifts already inside the
     # tolerance never enter the update loop
     batch.res[:] = bnorm
@@ -705,20 +728,9 @@ def solve_all(
                 batch.status[ell], batch.failure[ell] = "breakdown", str(exc)
             break
         iterations = n
-        update(batch, step, counter)
-        est = (estimate_residual_qmr_b(batch, step.v_next_norm) if method in ("cocg", "qmr-sym-b")
-               else estimate_residual_qmr(batch))
-        assembled = None
-        # cocg checks the rows meeting the target by recurrence, a block at a time
-        if method == "cocg":
-            rows = np.flatnonzero((est <= target) & (True if batch.bad is None else ~batch.bad))
-            assembled = np.zeros(batch.na, dtype=bool)
-            for lo in range(0, len(rows), rb):
-                r = rows[lo : lo + rb]
-                X = batch.iterates(r)
-                est[r] = true_residual(A, batch.sigma[r], b_arr, X, counter=counter)
-                good = est[r] <= target
-                batch.X[r[good]], assembled[r[good]] = X[good], True
+        spec.update(batch, step, counter)
+        est = spec.estimate(batch, step)
+        assembled = None if spec.check is None else spec.check(A, b_arr, batch, est, target, counter)
         batch.record(n, est, target, bnorm, assembled)
         if callback is not None:
             callback(n, _observed(batch))
@@ -732,7 +744,7 @@ def solve_all(
     final_rel_true = (true_residual(A, shifts.shifts, b_arr, solutions, counter) / bnorm
                       if true_residuals else None)
     res = batch.res[order]
-    if method == "cocg":  # explicit residuals of the unverified iterates
+    if spec.check is not None:  # explicit residuals of the unverified iterates
         rest = [ell for ell, s in enumerate(batch.status) if s != "converged"]
         res[rest] = true_residual(A, shifts.shifts[rest], b_arr, solutions[rest], counter)
     report = SolveReport(

@@ -1,3 +1,4 @@
+import re
 import threading
 import tracemalloc
 
@@ -681,7 +682,7 @@ class TestOmegaVariant:
         sigma = 0.3 + 0.2j
         rec = run_diagnostic(A, b, 8)
         st = ShiftBatch("qmr-sym-omega", [sigma], rec.g1, rec.vectors[:, 0], 8)
-        assert st.window == 8  # assembled inside the eighth update, as in solve_all
+        assert st.window.steps == 8  # assembled inside the eighth update, as in solve_all
         for step in steps_of(rec):
             qmr_sym_omega_update(st, step)
         x, rep = solve_all(A, b, [sigma], method="qmr-sym-omega", tol=1e-30, max_iter=8)
@@ -723,6 +724,36 @@ class TestOmegaVariant:
 
 
 class TestDriver:
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("method", ["qmr-sym", "qmr-sym-b", "qmr-sym-omega"])
+    def test_custom_driver_reproduces_solve_all(self, method, real):
+        # the pieces the README offers custom drivers: the Lanczos stream, a
+        # ShiftBatch, the method's update and estimate, record and finish
+        update = {"qmr-sym": qmr_sym_update, "qmr-sym-b": qmr_sym_b_update,
+                  "qmr-sym-omega": qmr_sym_omega_update}[method]
+        A, b = chain(real=real)
+        tol, steps = 1e-10, solvers._WINDOW_ELEMS // A.n * (1 if real else 2)
+        x, rep = solve_all(A, b, CHAIN_SHIFTS, method=method, tol=tol)
+        state = lanczos_init(A, b)
+        bnorm = state.bnorm2
+        batch = ShiftBatch(method, CHAIN_SHIFTS, state.g1, state.v_curr, 2 * A.n)
+        batch.record(0, np.full(batch.m, bnorm), tol * bnorm, bnorm)
+        n = 0
+        while batch.na and n < 2 * A.n:
+            n += 1
+            step = lanczos_step(state, A)
+            update(batch, step)
+            est = (estimate_residual_qmr_b(batch, step.v_next_norm) if method == "qmr-sym-b"
+                   else estimate_residual_qmr(batch))
+            batch.record(n, est, tol * bnorm, bnorm)
+        # several full windows, and shifts deflated within one
+        assert rep.all_converged and n == rep.iterations > 2 * steps
+        assert any(ell % steps for ell in rep.iters)
+        iters, res = batch.niter[batch.row], batch.res[batch.row]
+        assert np.array_equal(batch.finish(), x)
+        assert list(iters) == list(rep.iters) and batch.status == rep.status
+        assert np.array_equal(res / bnorm, rep.final_rel_estimate)
+
     def test_identity_matrix_single_iteration(self):
         A = sparse_from(np.eye(4))
         b = np.array([1.0, 2.0, 3.0, 4.0])
@@ -908,6 +939,13 @@ class TestDriver:
             solve_all(A, b, [0.5], tol=0.0)
         with pytest.raises(ValueError, match="max_iter"):
             solve_all(A, b, [0.5], max_iter=0)
+        # refused with its value named, before a zero b fails the Lanczos start
+        for bad in (2.5, "3", np.float64(3.0)):
+            message = re.escape(f"max_iter must be an integer, got {bad!r}")
+            with pytest.raises(ValueError, match=message):
+                solve_all(A, np.zeros(2), [0.5], max_iter=bad)
+        x, rep = solve_all(A, b, [0.5], max_iter=np.int64(3))
+        assert rep.all_converged and rep.iterations == 1
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
     def test_non_finite_tol_is_rejected(self, tol):
@@ -1089,14 +1127,14 @@ class TestWindowEngine:
         # _WINDOW_ELEMS // N is 0 from N = 2^18 on: the window keeps 8 steps on
         # a real basis and 16 on a complex one, unless max_iter is shorter
         for v1, steps in ((e1(2**18), 8), (e1(2**18, complex), 16)):
-            assert ShiftBatch("qmr-sym", [0.5j], 1.0, v1, 2 * len(v1)).window == steps
-            assert ShiftBatch("qmr-sym", [0.5j], 1.0, v1, 3).window == 3
+            assert ShiftBatch("qmr-sym", [0.5j], 1.0, v1, 2 * len(v1)).window.steps == steps
+            assert ShiftBatch("qmr-sym", [0.5j], 1.0, v1, 3).window.steps == 3
 
     @pytest.mark.parametrize("n, real, steps", [(1728, True, 75), (13824, True, 9),
                                                 (13824, False, 18), (512, False, 256)])
     def test_complex_window_is_twice_as_long(self, n, real, steps):
         v1 = e1(n, float if real else complex)
-        assert ShiftBatch("qmr-sym-b", [0.5j], 1.0, v1, 2 * n).window == steps
+        assert ShiftBatch("qmr-sym-b", [0.5j], 1.0, v1, 2 * n).window.steps == steps
 
     @pytest.mark.parametrize("method", RECURRENCES)
     def test_deflation_on_a_window_boundary(self, monkeypatch, method):
@@ -1203,10 +1241,10 @@ class TestWindowEngine:
         class Watched(ShiftBatch):
             def __init__(self, *args, **kw):
                 super().__init__(*args, **kw)
-                seen.append(len(self.Dw))
+                seen.append(self.coef.shape[1])
 
             def finish(self):
-                seen.append(len(self.Dw))
+                seen.append(self.coef.shape[1])
                 return super().finish()
 
         # a disordered chain with an absorbing on-site part: 73 to 145 steps
@@ -1259,7 +1297,7 @@ class TestWindowEngine:
 
         class Watched(ShiftBatch):
             def finish(self):
-                seen.append((self.window, self.P1, self.P2))
+                seen.append((self.window.steps, self.P1, self.P2))
                 return super().finish()
 
         monkeypatch.setattr(solvers, "ShiftBatch", Watched)
@@ -1280,7 +1318,7 @@ class TestWindowEngine:
         A, b, shifts = self.desk_sweep(1001)
         m, n = len(shifts), A.n
         probe = ShiftBatch("qmr-sym", shifts, 1.0, b, 2 * n)
-        window = sum(arr.nbytes for arr in (probe.Vw, probe.Dw, probe.Aw, probe.Bw))
+        window = probe.window.Vw.nbytes + probe.coef.nbytes
         del probe
         tracemalloc.start()
         try:
@@ -1300,8 +1338,7 @@ class TestWindowEngine:
     def test_desk_sweep_peak_memory_with_pending_rows(self, method, above):
         A, b, shifts = self.desk_sweep(1001)
         probe = ShiftBatch(method, shifts, 1.0, b, 2 * A.n)
-        arrays = probe.X.nbytes + sum(arr.nbytes for arr in (probe.Vw, probe.Dw, probe.Aw, probe.Bw)
-                                      if arr is not None)
+        arrays = probe.X.nbytes + probe.window.Vw.nbytes + probe.coef.nbytes
         del probe
         tracemalloc.start()
         try:
@@ -1348,8 +1385,8 @@ class TestDeferredRetirement:
     @pytest.mark.parametrize("method", TestWindowEngine.RECURRENCES)
     def test_one_flush_per_window_and_one_at_the_end(self, monkeypatch, method, real):
         calls = []
-        flush = ShiftBatch.flush
-        monkeypatch.setattr(ShiftBatch, "flush", lambda *args: calls.append(1) or flush(*args))
+        sweep = solvers._Window.sweep
+        monkeypatch.setattr(solvers._Window, "sweep", lambda *args: calls.append(1) or sweep(*args))
         x, rep = self.solve(monkeypatch, method, real)
         retired_mid_window = {s for s in rep.iters.tolist() if s % self.C}
         assert rep.all_converged and len(retired_mid_window) >= 11
@@ -1372,17 +1409,17 @@ class TestDeferredRetirement:
     @pytest.mark.parametrize("real", [True, False])
     def test_verified_cocg_rows_keep_their_bits(self, monkeypatch, real):
         again, verified = [], {}
-        flush = ShiftBatch.flush
+        sweep = solvers._Window.sweep
 
-        def watched(batch, rows, carry, into=None):
+        def watched(window, batch, rows, carry, into=None):
             again.extend(ell for ell in batch.perm[rows] if batch.status[ell] == "converged")
-            return flush(batch, rows, carry, into)
+            return sweep(window, batch, rows, carry, into)
 
         def reader(n, state):  # each iterate as its explicit residual verified it
             for ell in np.flatnonzero(state.res <= 1e-10):
                 verified.setdefault(ell, state.iterates([ell])[0])
 
-        monkeypatch.setattr(ShiftBatch, "flush", watched)
+        monkeypatch.setattr(solvers._Window, "sweep", watched)
         x, rep = self.solve(monkeypatch, "cocg", real, callback=reader)
         # several of them verified mid-window with full windows flushed after
         assert rep.all_converged and sum(s % self.C > 0 for s in rep.iters) >= 10
@@ -1426,20 +1463,18 @@ class TestFlushTiling:
         xs, solo = solve_all(A, b, family[3:4], method=method, tol=1e-10)
         assert np.array_equal(xs[0], x[3]) and solo.iters[0] == rep.iters[3]
 
-    # products over whole rows held a GEMM's whole output (at 2^16 one shift's
-    # 2 or 3 rows) and every target's output at once, 4 to 12 MiB above these
-    # arrays; the column panels leave about 0.5 MiB
-    @pytest.mark.parametrize("real", [True, False])
-    @pytest.mark.parametrize("method", ["qmr-sym", "qmr-sym-b"])
-    def test_flush_temporaries_stay_bounded_at_large_n(self, method, real):
+    @staticmethod
+    def peak_above_arrays(method, real):
+        """A one-shift solve of the 2^16-site chain: its peak traced memory
+        above its arrays, in units of ``16 * _BLOCK_ELEMS`` bytes (0.25 MiB)."""
         A, b = chain(2**16, real=real)
         probe = ShiftBatch(method, CHAIN_SHIFTS[:1], 1.0, b.astype(float if real else complex),
                            2 * A.n)
         # X and the directions P1 (and P2), W, the window's basis vectors and
         # four Lanczos vectors
-        arrays = (probe.X.nbytes * (2 + (probe.Bw is not None)) + probe.Vw.nbytes
-                  + 4 * probe.Vw.itemsize * A.n + (0 if probe.W is None else probe.W.nbytes))
-        window = probe.window
+        arrays = (probe.X.nbytes * len(probe.coef) + probe.window.Vw.nbytes
+                  + 4 * probe.window.Vw.itemsize * A.n + (0 if probe.W is None else probe.W.nbytes))
+        window = probe.window.steps
         del probe
         tracemalloc.start()
         try:
@@ -1448,8 +1483,25 @@ class TestFlushTiling:
         finally:
             tracemalloc.stop()
         assert rep.all_converged and rep.iterations > 4 * window
-        bound = 4 * 16 * solvers._BLOCK_ELEMS  # four blocks of complex entries: 1 MiB
-        assert peak <= arrays + bound, f"{(peak - arrays) / 2**20:.3f} MiB above the arrays"
+        return (peak - arrays) / (16 * solvers._BLOCK_ELEMS)
+
+    # products over whole rows held a GEMM's whole output (at 2^16 one shift's
+    # 2 or 3 rows) and every target's output at once, 4 to 12 MiB above these
+    # arrays; the column panels leave about 0.5 MiB
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("method", ["qmr-sym", "qmr-sym-b"])
+    def test_flush_temporaries_stay_bounded_at_large_n(self, method, real):
+        above = self.peak_above_arrays(method, real)
+        # four blocks of complex entries: 1 MiB
+        assert above <= 4, f"{above / 4:.3f} MiB above the arrays"
+
+    # cocg's explicit check: sigma x subtracted over the whole length at once
+    # peaked 2.0 MiB above these arrays on a real basis and 1.0 MiB on a
+    # complex one; _BLOCK_ELEMS rows at a time leave about 1.3 and 0.5 MiB
+    @pytest.mark.parametrize("real", [True, False])
+    def test_explicit_check_temporaries_stay_bounded_at_large_n(self, real):
+        above = self.peak_above_arrays("cocg", real)
+        assert above <= 6, f"{above / 4:.3f} MiB above the arrays"  # 1.5 MiB
 
     def test_no_thread_on_a_long_complex_basis(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")

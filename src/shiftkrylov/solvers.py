@@ -17,26 +17,23 @@ All shifts of a solve live in one :class:`ShiftBatch`, one row per shift of
 the ``m x N`` arrays ``X``, ``P1`` (``P2``) and, for rotations on a complex
 basis, ``W``; scalar state lives in ``m``-vectors, and the active shifts form
 a contiguous prefix of the rows. Each method is one row of the table
-``_METHODS`` (its update, estimate, scalar fields and carried directions, and
-whether a shift must pass ``cocg``'s explicit check, ``_check_explicitly``,
-before it deflates), and :func:`solve_all` runs one loop for all four. An
-update runs its scalar recurrence once per Lanczos step over the active
-prefix and emits per shift the coefficients of ``p_n = v_n - a_n p_{n-1} -
-b_n p_{n-2}`` (``b_n = 0`` for the two-term methods) and ``x_n = x_{n-1} +
-d_n p_n``. The batch's :class:`_Window` keeps ``v_n``; when it fills, one
-backward sweep over the coefficients expresses ``x`` and the carried
-directions in its basis vectors, and GEMMs of at least two shifts each apply
-them over bounded column panels, in the stream's thread (the deferred
-assembly of Frommer and Simoncini, "Matrix functions", *Model Order
-Reduction*, 2008). A shift that deflates or breaks down keeps its
-coefficients, zero after its last step, and is assembled with the next
-window flush or at the end; ``X`` is then put in shift order in place. The
-directions are only made when a window carries them, so memory is ``O(mN +
-cN + cm)`` for windows of ``c`` steps. A callback and a recorded history
-only observe: the solve has the same bits without them. Every product rounds
-a shift's row independently of the rows computed with it (see the notes at
-the products), so a shift's results do not depend on which other shifts are
-solved with it.
+``_METHODS``, and :func:`solve_all` runs one loop for all four. An update
+runs its scalar recurrence once per Lanczos step over the active prefix and
+emits per shift the coefficients of ``p_n = v_n - a_n p_{n-1} - b_n p_{n-2}``
+(``b_n = 0`` for the two-term methods) and ``x_n = x_{n-1} + d_n p_n``. The
+batch's :class:`_Window` keeps ``v_n``; when it fills, one backward sweep
+over the coefficients expresses ``x`` and the carried directions in its basis
+vectors, and GEMMs of at least two shifts each apply them over bounded column
+panels, in the stream's thread (the deferred assembly of Frommer and
+Simoncini, "Matrix functions", *Model Order Reduction*, 2008). A shift that
+deflates or breaks down keeps its coefficients, zero after its last step, and
+is assembled with the next window flush or at the end; ``X`` is then put in
+shift order in place. The directions are only made when a window carries
+them, so memory is ``O(mN + cN + cm)`` for windows of ``c`` steps. A callback
+and a recorded history only observe: the solve has the same bits without
+them. Every product rounds a shift's row independently of the rows computed
+with it (see the notes at the products), so a shift's results do not depend
+on which other shifts are solved with it.
 """
 
 from __future__ import annotations
@@ -99,16 +96,15 @@ _MAX_WINDOW = 256
 class ShiftBatch:
     """State of every shift of one solve by ``method``, one row per shift.
 
-    ``window`` is the solve's :class:`_Window`; between its flushes ``X``
-    holds the iterates at the window's start and :meth:`iterates` assembles
-    the current ones. Rows ``:na`` are the active shifts, and the ``pending``
-    rows after them retired within the window and are assembled when it is
-    flushed (their coefficients after their last step are zero); ``perm[r]``
-    is the shift in row ``r`` and ``row[l]`` the row of shift ``l``.
+    ``window`` is the solve's :class:`_Window`. ``X`` changes only when it is
+    flushed and at :meth:`finish`: between flushes it holds the iterates at
+    the window's start, and :meth:`iterates` assembles copies of the current
+    ones. Rows ``:na`` are the active shifts; the ``pending`` rows after them
+    left through :meth:`retire` within the window and are assembled when it
+    is flushed (their coefficients after their last step are zero);
+    ``perm[r]`` is the shift in row ``r`` and ``row[l]`` the row of shift ``l``.
     ``P1``/``P2`` are ``None`` (zero) until the first carrying flush, then
-    have the ``na`` rows of that moment. ``bad`` marks the rows whose pivot
-    vanished at the last step (or is ``None``): they keep their previous
-    step's state.
+    have the ``na`` rows of that moment.
     """
 
     def __init__(self, method, shifts, g1, v1, max_iter, record_history=False):
@@ -116,7 +112,7 @@ class ShiftBatch:
         self.sigma = np.array(shifts, dtype=np.complex128).ravel()
         m, n = len(self.sigma), len(v1)
         self.m, self.n, self.na = m, n, m
-        self.window = _Window(v1, max_iter)
+        self.window = _Window(v1, _check_max_iter(max_iter))
         self.real = self.window.real
         self.perm, self.row = np.arange(m), np.arange(m)
         self.g = np.full(m, complex(g1))
@@ -139,7 +135,6 @@ class ShiftBatch:
         self._fields += [name for name, _ in spec.state]
         self.status, self.failure = ["unconverged"] * m, [None] * m
         self.history = [[] for _ in range(m)] if record_history else None
-        self.bad = None
         self.P1 = self.P2 = None  # the directions are zero until a window carries them
         # coefficient rows of d, a (and b); rows 0 and 1 stand for the carried
         # p_{s-2}, p_{s-1}; rows for 30 steps first, then _step_rows doubles them
@@ -147,17 +142,15 @@ class ShiftBatch:
         self.pending = 0
 
     def _pivots(self, t, n, kind, what):
-        """Mark the rows with a zero pivot ``t`` as broken down at step ``n``
-        and return ``t`` with those pivots replaced by one."""
+        """Record the failure of the rows with a zero pivot ``t`` at step ``n``;
+        return ``t`` with those pivots replaced by one, and their mask (or ``None``)."""
         if np.count_nonzero(t) == len(t):
-            self.bad = None
-            return t
+            return t, None
         bad = t == 0
         for r in np.flatnonzero(bad):
             sigma = complex(self.sigma[r])
             self.failure[self.perm[r]] = str(BreakdownError(kind, n, f"{what} for shift {sigma}"))
-        self.bad = bad
-        return np.where(bad, 1.0, t)
+        return np.where(bad, 1.0, t), bad
 
     def _step_rows(self):
         """The coefficient rows that the coming step's ``d``, ``a`` and ``b``
@@ -169,24 +162,25 @@ class ShiftBatch:
         rows = self.coef[:, k + 2, : self.na]  # indexed, not unpacked: a view per row is cheaper
         return rows[0], rows[1], rows[2] if len(rows) == 3 else None
 
-    def _advance(self, step, g_new, ops, lsq, counter):
+    def _advance(self, step, g_new, ops, lsq, counter, bad):
         """Finish one step over the active prefix, whose coefficients are in
-        its :meth:`_step_rows`: freeze broken rows, charge the updates, store
-        ``v_n``, and flush a full window into the active prefix, advancing its
-        directions, and into the pending rows."""
-        na, n, bad, k = self.na, step.n, self.bad, self.window.k
-        self.niter[:na] = n
+        its :meth:`_step_rows`: store ``v_n``, freeze and retire the ``bad``
+        rows (or ``None``), charge the others' updates, and flush a full window
+        into the active prefix, advancing its directions, and into the pending rows."""
+        na, k = self.na, self.window.k
         if bad is not None:
             self.coef[:, k + 2, :na][:, bad] = 0.0
             g_new[bad] = self.g[:na][bad]
-            self.niter[:na][bad] = n - 1
         self.g[:na] = g_new
+        full = self.window.push(step.v)
+        if bad is not None:  # after the push, so that the moved rows take this step's coefficients
+            self.retire(bad, "breakdown")
+        self.niter[: self.na] = step.n  # a retired row keeps its count of the last step
         if counter is not None:
-            updated = na if bad is None else na - int(np.count_nonzero(bad))
-            counter.add_shift_update(ops * updated)
-            counter.add_least_squares(lsq * updated)
-        if self.window.push(step.v):
-            self.window.sweep(self, slice(0, na + self.pending), na)
+            counter.add_shift_update(ops * self.na)
+            counter.add_least_squares(lsq * self.na)
+        if full:
+            self.window.sweep(self, slice(0, self.na + self.pending), self.na)
             self.window.k = self.pending = 0
 
     def iterates(self, rows):
@@ -196,16 +190,13 @@ class ShiftBatch:
         self.window.sweep(self, rows, 0, X)
         return X
 
-    def retire(self, done, assembled=None):
+    def retire(self, done, status="converged"):
         """Take the rows marked in ``done`` (over the active prefix) out of it:
-        record their status and move them behind the survivors, pending until
-        the window is flushed. The rows marked in ``assembled`` already hold
-        their iterates; with any of them, the others and the earlier pending
-        rows are assembled at once."""
+        give their shifts ``status`` and move them behind the survivors,
+        pending until the window is flushed."""
         na, k = self.na, self.window.k
-        for r in np.flatnonzero(done):
-            broken = self.bad is not None and self.bad[r]
-            self.status[self.perm[r]] = "breakdown" if broken else "converged"
+        for ell in self.perm[:na][done].tolist():
+            self.status[ell] = status
         keep = na - int(np.count_nonzero(done))
         dst = np.flatnonzero(done[:keep])
         if len(dst):
@@ -216,33 +207,22 @@ class ShiftBatch:
                     arr[a] = arr[b]
             self.coef[:, : k + 2, a] = self.coef[:, : k + 2, b]  # at k = 0 rows 0, 1: zero
             self.row[self.perm[a]] = a
-            if assembled is not None:
-                assembled[a] = assembled[b]
         self.na = keep
-        if k and assembled is not None and np.count_nonzero(assembled[keep:na]):
-            # the others are assembled now, with the rows retired earlier in the window
-            self.window.sweep(self, np.concatenate((keep + np.flatnonzero(~assembled[keep:na]),
-                                                    np.arange(na, na + self.pending))), 0)
-            self.pending = 0
-        elif k:  # pending: zero coefficients after this step add nothing to a sweep
+        if k:  # pending: zero coefficients after this step add nothing to a sweep
             self.coef[:, k + 2 :, keep:na] = 0.0
             self.pending += na - keep
 
-    def record(self, n, est, target, bnorm, assembled=None):
-        """Store the step-``n`` residuals ``est`` of the active prefix (broken
-        rows keep their previous value), then retire the broken rows and the
-        rows meeting ``target``. The rows marked in ``assembled`` (which all
-        retire now) already hold their iterates in ``X``."""
-        na, bad = self.na, self.bad
-        live = slice(None) if bad is None else ~bad
-        res = self.res[:na]
-        res[live] = est[live]
-        done = res <= target if bad is None else bad | (res <= target)
-        if self.history is not None:  # one (n, relative residual) pair per live shift
-            for ell, rel in zip(self.perm[:na][live].tolist(), (res[live] / bnorm).tolist()):
+    def record(self, n, est, target, bnorm):
+        """Store the step-``n`` residuals ``est`` of the active prefix, then
+        retire the rows meeting ``target``."""
+        na, res = self.na, self.res[: self.na]
+        res[:] = est
+        if self.history is not None:  # one (n, relative residual) pair per active shift
+            for ell, rel in zip(self.perm[:na].tolist(), (res / bnorm).tolist()):
                 self.history[ell].append((n, rel))
+        done = res <= target
         if np.count_nonzero(done):
-            self.retire(done, assembled)
+            self.retire(done)
 
     def finish(self):
         """Assemble the active and pending rows and return ``X``, put in shift order in place."""
@@ -373,7 +353,7 @@ def _rotation_update(batch: ShiftBatch, step: LanczosStep, omegas, scale, counte
     if n > 1:  # f = -sbar of the last step, which is -conj(s1)
         c1 = batch.c1[:na]
         t_nm1, t_n = c1 * t_nm1 + batch.s1[:na] * t_n, batch.f[:na] * t_nm1 + c1 * t_n
-    t_n = batch._pivots(t_n, n, "rotation", "zero pivot")
+    t_n, bad = batch._pivots(t_n, n, "rotation", "zero pivot")
     # this step's c, s and pivot overwrite step n-2's, then the names swap
     abs_n = _abs(t_n)
     c = np.divide(abs_n, np.hypot(abs_n, abs(t_np1)), out=batch.c2[:na])
@@ -398,7 +378,7 @@ def _rotation_update(batch: ShiftBatch, step: LanczosStep, omegas, scale, counte
             batch.wnorm[r] = _norm2(w)
     batch.c1, batch.c2, batch.s1, batch.s2 = batch.c2, batch.c1, batch.s2, batch.s1
     batch.diag1, batch.diag2 = batch.diag2, batch.diag1
-    batch._advance(step, f * g, 6 * batch.n + 3, _LSQ_OPS_ROTATION, counter)
+    batch._advance(step, f * g, 6 * batch.n + 3, _LSQ_OPS_ROTATION, counter, bad)
 
 
 def qmr_sym_update(batch: ShiftBatch, step: LanczosStep, counter: FlopCounter | None = None):
@@ -448,14 +428,14 @@ def qmr_sym_b_update(batch: ShiftBatch, step: LanczosStep, counter: FlopCounter 
     t_n = complex(step.alpha) + batch.sigma[:na]
     if n > 1:
         t_n = batch.f[:na] * t_nm1 + t_n
-    t_n = batch._pivots(t_n, n, "pivot", "zero elimination pivot")
+    t_n, bad = batch._pivots(t_n, n, "pivot", "zero elimination pivot")
     f = -complex(step.beta) / t_n
     g = batch.g[:na]
     d, a, _ = batch._step_rows()  # written in place, as in d = g / t_n
     np.divide(g, t_n, out=d)
     np.divide(t_nm1, batch.diag1[:na], out=a) if n > 1 else a.fill(0.0)
     batch.f[:na], batch.diag1[:na] = f, t_n
-    batch._advance(step, f * g, 4 * batch.n + 2, _LSQ_OPS_ELIMINATION, counter)
+    batch._advance(step, f * g, 4 * batch.n + 2, _LSQ_OPS_ELIMINATION, counter, bad)
     return batch
 
 
@@ -588,25 +568,30 @@ def _check_finite(values: np.ndarray, name: str):
         raise ValueError(f"{name}[{bad[0]}] = {values[bad[0]]} is not finite")
 
 
+def _check_max_iter(max_iter):
+    try:
+        max_iter = operator.index(max_iter)
+    except TypeError:
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}") from None
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    return max_iter
+
+
 def _check_explicitly(A, b, batch, est, target, counter):
     """Put into ``est`` the explicit residuals of the active rows whose value
-    meets ``target``, assembled ``max(1, _BLOCK_ELEMS // N)`` at a time, and
-    return the rows whose iterate passed, which are written into ``X``."""
-    rows = np.flatnonzero((est <= target) & (True if batch.bad is None else ~batch.bad))
-    assembled, rb = np.zeros(batch.na, dtype=bool), max(1, _BLOCK_ELEMS // A.n)
+    meets ``target``, assembling copies ``max(1, _BLOCK_ELEMS // N)`` at a time."""
+    rows, rb = np.flatnonzero(est <= target), max(1, _BLOCK_ELEMS // A.n)
     for lo in range(0, len(rows), rb):
         r = rows[lo : lo + rb]
-        X = batch.iterates(r)
-        est[r] = true_residual(A, batch.sigma[r], b, X, counter=counter)
-        good = est[r] <= target
-        batch.X[r[good]], assembled[r[good]] = X[good], True
-    return assembled
+        est[r] = true_residual(A, batch.sigma[r], b, batch.iterates(r), counter=counter)
 
 
 # One method as data. update(batch, step, counter) and estimate(batch, step)
 # call this module's functions by name, so that a replaced global is called.
 # state: the per-shift scalars (f is the factor of g, -sbar for the rotations);
-# directions: 2 for the rotations, which keep w on a complex basis, else 1.
+# directions: 2 for the rotations, which keep w on a complex basis, else 1;
+# check: replaces the estimates that meet the target by explicit residuals.
 _Method = namedtuple("_Method", "update estimate state directions weighted check",
                      defaults=(False, None))
 _ELIMINATION = (("diag1", complex), ("f", complex))
@@ -695,12 +680,7 @@ def solve_all(
         raise ValueError(f"tol must be finite, got {tol}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    try:
-        max_iter = operator.index(2 * A.n if max_iter is None else max_iter)
-    except TypeError:
-        raise ValueError(f"max_iter must be an integer, got {max_iter!r}") from None
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    max_iter = _check_max_iter(2 * A.n if max_iter is None else max_iter)
     b_arr = np.asarray(b)
     _check_finite(shifts.shifts, "shifts")
     _check_finite(b_arr, "b")
@@ -725,13 +705,15 @@ def solve_all(
             step = lanczos_step(lstate, A, counter=counter)
         except BreakdownError as exc:
             for ell in batch.perm[: batch.na]:
-                batch.status[ell], batch.failure[ell] = "breakdown", str(exc)
+                batch.failure[ell] = str(exc)
+            batch.retire(np.ones(batch.na, dtype=bool), "breakdown")
             break
         iterations = n
         spec.update(batch, step, counter)
         est = spec.estimate(batch, step)
-        assembled = None if spec.check is None else spec.check(A, b_arr, batch, est, target, counter)
-        batch.record(n, est, target, bnorm, assembled)
+        if spec.check is not None:
+            spec.check(A, b_arr, batch, est, target, counter)
+        batch.record(n, est, target, bnorm)
         if callback is not None:
             callback(n, _observed(batch))
         if step.lucky:

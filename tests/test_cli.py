@@ -89,6 +89,8 @@ class TestGenerator:
             generate_hamiltonian_analog(4, 4, seed=0)
         with pytest.raises(ValueError):
             generate_hamiltonian_analog(4, 0, seed=0)
+        with pytest.raises(ValueError, match="dominance must be nonnegative"):
+            generate_hamiltonian_analog(4, 1, seed=0, dominance=-1.0)
 
 
 def write_shift_file(path, text="0.5 0.001\n1.5 0.001\n0.9 0.001\n"):
@@ -253,8 +255,9 @@ class TestRun:
         assert (
             main(["--generate", "8,2,1", "--shifts", shifts, "--history"]) == EXIT_USAGE
         )
-        # malformed generate spec
+        # malformed generate spec, and a negative dominance
         assert main(["--generate", "8", "--shifts", shifts]) == EXIT_USAGE
+        assert main(["--generate", "8,2,1,-1", "--shifts", shifts]) == EXIT_USAGE
         # --check above the oracle cap
         assert (
             main(["--generate", "600,4,1", "--shifts", shifts, "--check"]) == EXIT_USAGE

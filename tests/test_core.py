@@ -294,10 +294,28 @@ class TestSparseSymMatrix:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             SparseSymMatrix.from_coo(2, [0, 2], [0, 2], [1.0, 1.0])
+        with pytest.raises(ValueError, match="rows/cols/values length mismatch"):
+            SparseSymMatrix.from_coo(2, [0, 1], [0], [1.0, 1.0])
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
             SparseSymMatrix(0, [0], [], [])
+        with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
+            SparseSymMatrix.from_coo(0, [], [], [])
+        with pytest.raises(ValueError, match="dense input must be square"):
+            SparseSymMatrix.from_dense(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("args, message", [
+        ((2, [0, 1], [0], [1.0]), "malformed indptr"),
+        ((2, [0, 2, 1], [0], [1.0]), "indptr must be non-decreasing"),
+        ((2, [0, 1, 2], [0, 1], [1.0]), "indices/data length mismatch"),
+        ((2, [0, 1, 2], [0, 2], [1.0, 1.0]), "column index out of range"),
+        ((2, [0, 2, 4], [1, 0, 0, 1], [1.0, 1.0, 1.0, 1.0]),
+         r"row 0: column indices not strictly increasing \(unsorted\)"),
+    ], ids=["indptr-shape", "indptr-decreasing", "length", "column-range", "unsorted"])
+    def test_rejects_malformed_csr(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            SparseSymMatrix(*args)
 
     def test_real_normalization(self):
         A = SparseSymMatrix.from_coo(2, [0, 1], [0, 1], np.array([1.0 + 0j, 2.0 + 0j]))

@@ -21,6 +21,9 @@ from shiftkrylov import io as mmio
 from _reference import rand_complex_symmetric, rand_real_symmetric
 
 
+HDR = "%%MatrixMarket matrix coordinate real symmetric\n"
+
+
 def write(path, text):
     path.write_text(text)
     return path
@@ -274,6 +277,33 @@ class TestReadMatrixMarket:
         with pytest.raises(ParseError, match="empty"):
             read_matrix_market(p)
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("%MatrixMarket matrix coordinate real symmetric\n1 1 1\n1 1 1.0\n", 1,
+         "expected '%%MatrixMarket matrix coordinate <field> <symmetry>'"),
+        ("%%MatrixMarket vector coordinate real general\n1 1 1\n1 1 1.0\n", 1,
+         "unsupported object 'vector'"),
+        (HDR + "\n1 1 1\n1 1 1.0\n", 2, "blank line before size line"),
+        (HDR + "% no size line\n", 2, "missing size line"),
+        (HDR + "1 1 x\n1 1 1.0\n", 2, "size line must contain integers"),
+        (HDR + "0 0 0\n", 2, "invalid dimensions"),
+        (HDR + "2 2 -1\n1 1 1.0\n", 2, "invalid dimensions"),
+    ], ids=["banner", "vector", "blank-before-size", "no-size", "non-integer-size",
+            "zero-size", "negative-count"])
+    def test_header_and_size_line_faults(self, tmp_path, text, line, message):
+        p = write(tmp_path / "head.mtx", text)
+        with pytest.raises(ParseError) as exc:
+            read_matrix_market(p)
+        assert str(exc.value) == f"{p}:{line}: {message}"
+
+    def test_trailing_blank_lines_and_no_entries(self, tmp_path):
+        # blank lines after the data end it, in the one-pass parser and in the
+        # line-by-line one, which alone reads a file without entries
+        A = read_matrix_market(write(tmp_path / "tail.mtx", HDR + "2 2 2\n1 1 1.0\n2 2 2.0\n\n\n"))
+        assert np.array_equal(A.to_dense(), np.diag([1.0, 2.0]))
+        for tail in ("", "\n\n"):
+            A = read_matrix_market(write(tmp_path / "none.mtx", HDR + "3 3 0\n" + tail))
+            assert A.n == 3 and A.nnz == 0 and A.is_real
+
     def test_comments_allowed_after_header(self, tmp_path):
         p = write(
             tmp_path / "cmt.mtx",
@@ -376,9 +406,18 @@ class TestShiftFiles:
         assert np.all(s.shifts.imag == 1.0 / 1000.0)
 
     def test_range_must_be_alone(self, tmp_path):
-        p = write(tmp_path / "bad.txt", "range 0 1 0 3\n1.0 0.0\n")
-        with pytest.raises(ParseError, match="only content line"):
-            read_shifts(p)
+        for text in ("range 0 1 0 3\n1.0 0.0\n", "1.0 0.0\nrange 0 1 0 3\n"):
+            p = write(tmp_path / "bad.txt", text)
+            with pytest.raises(ParseError, match="only content line"):
+                read_shifts(p)
+
+    def test_malformed_generator_line(self, tmp_path):
+        for text, message in (("range 0 1 0\n", "expected 'range a step_re step_im m'"),
+                              ("range 0 1 0 x\n", "malformed generator line")):
+            p = write(tmp_path / "gen.txt", text)
+            with pytest.raises(ParseError) as exc:
+                read_shifts(p)
+            assert str(exc.value) == f"{p}:1: {message}"
 
     def test_bad_count(self, tmp_path):
         p = write(tmp_path / "bad2.txt", "range 0 1 0 0\n")
@@ -389,6 +428,10 @@ class TestShiftFiles:
         p = write(tmp_path / "bad3.txt", "1.0\n")
         with pytest.raises(ParseError, match="re im"):
             read_shifts(p)
+        p = write(tmp_path / "bad4.txt", "0.5 0.0\n1.0 abc\n")
+        with pytest.raises(ParseError, match="malformed shift pair") as exc:
+            read_shifts(p)
+        assert exc.value.line == 2
 
     def test_empty(self, tmp_path):
         p = write(tmp_path / "none.txt", "# nothing\n")
@@ -414,6 +457,12 @@ class TestRhs:
         p = write(tmp_path / "short.txt", "1.0 0.0\n")
         with pytest.raises(ParseError, match="expected 3 entries, found 1"):
             read_rhs(p, 3)
+
+    def test_malformed_entry_names_its_line(self, tmp_path):
+        p = write(tmp_path / "bad.txt", "1.0 0.0\nx 0.0\n")
+        with pytest.raises(ParseError, match="malformed rhs entry") as exc:
+            read_rhs(p, 2)
+        assert exc.value.line == 2
 
 
 def small_report(tmp_path, record_history=True, m=1):

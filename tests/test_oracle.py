@@ -46,6 +46,8 @@ class TestDenseOracle:
     def test_refuses_above_cap(self):
         with pytest.raises(ValueError, match="cap"):
             DenseOracle(np.eye(DEFAULT_CAP + 1))
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            DenseOracle(np.ones((2, 3)))
 
     def test_same_shift_solves_two_rhs(self):
         rng = np.random.default_rng(51)

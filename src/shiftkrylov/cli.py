@@ -150,7 +150,7 @@ def _write_compare(path, reports):
         for idx in range(m):
             sigma = reports[0].shifts[idx]
             counts = " ".join(str(r.iters[idx]) for r in reports)
-            fh.write(f"{idx + 1} {repr(float(sigma.real))} {repr(float(sigma.imag))} {counts}\n")
+            fh.write(f"{idx + 1} {skio._fmt(sigma.real)} {skio._fmt(sigma.imag)} {counts}\n")
         for r in reports:
             fh.write(
                 f"# totals method={r.method} iterations={r.iterations} "

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse
 from scipy.linalg.blas import dnrm2, dznrm2
-from scipy.sparse._sparsetools import coo_tocsr, csr_matvec, csr_tocsc
+from scipy.sparse._sparsetools import coo_tocsr, csr_matvec, csr_matvecs, csr_tocsc
 
 __all__ = [
     "BreakdownError",
@@ -151,6 +150,11 @@ def _values(data) -> np.ndarray:
     return np.ascontiguousarray(data, dtype=np.float64)
 
 
+def _row_indices(indptr) -> np.ndarray:
+    """The row of each stored entry of a CSR pattern with row pointer ``indptr``."""
+    return np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
+
+
 class SparseSymMatrix:
     """Sparse symmetric matrix in compressed-row form, storing both triangles.
 
@@ -164,11 +168,11 @@ class SparseSymMatrix:
     every imaginary part is exactly zero (``is_real``), complex128 otherwise,
     so real problems automatically run on the real fast path.
 
-    Instances are immutable after construction; the cached :attr:`csr` view
-    is built on first use.
+    Instances are immutable after construction. The three CSR arrays are the
+    whole matrix: products run on them, and no SciPy sparse object is kept.
     """
 
-    __slots__ = ("n", "indptr", "indices", "data", "is_real", "_csr")
+    __slots__ = ("n", "indptr", "indices", "data", "is_real")
 
     def __init__(self, n: int, indptr, indices, data):
         n = int(n)
@@ -185,7 +189,7 @@ class SparseSymMatrix:
             raise ValueError("indices/data length mismatch")
         if len(indices) and (indices.min() < 0 or indices.max() >= n):
             raise ValueError("column index out of range")
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        rows = _row_indices(indptr)
         nonfinite = np.flatnonzero(~np.isfinite(data))
         if len(nonfinite):
             k = int(nonfinite[0])
@@ -201,7 +205,6 @@ class SparseSymMatrix:
         self.indices = indices
         self.data = data
         self.is_real = data.dtype.kind == "f"
-        self._csr = None
         self._check_symmetry(rows)
 
     def _check_symmetry(self, rows: np.ndarray):
@@ -256,22 +259,9 @@ class SparseSymMatrix:
     def nnz(self) -> int:
         return len(self.data)
 
-    @property
-    def csr(self) -> scipy.sparse.csr_array:
-        """The same matrix as a ``scipy.sparse`` CSR array, sharing the
-        stored pattern. Every sparse product in the package (:func:`spmv` and
-        the block residuals) multiplies through it. Built on first use, not
-        at construction, and cached."""
-        if self._csr is None:
-            self._csr = scipy.sparse.csr_array(
-                (self.data, self.indices, self.indptr), shape=(self.n, self.n)
-            )
-        return self._csr
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n), dtype=self.data.dtype)
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        out[rows, self.indices] = self.data
+        out[_row_indices(self.indptr), self.indices] = self.data
         return out
 
     def __repr__(self):
@@ -280,33 +270,34 @@ class SparseSymMatrix:
 
 
 def _csr_product(A: SparseSymMatrix, X) -> np.ndarray:
-    """``A @ X`` for ``X`` of shape ``(N,)`` or ``(N, k)``, through
-    :attr:`SparseSymMatrix.csr`.
+    """``A @ X`` for ``X`` of shape ``(N,)`` or ``(N, k)`` by SciPy's compiled
+    ``csr_matvec`` or ``csr_matvecs`` on the stored arrays: the kernels that
+    SciPy's ``csr_array @ X`` runs, so with its bits.
 
-    ``X`` is made C-contiguous and promoted to at least float64. A real ``A``
-    multiplies a complex ``X`` as its float64 view with twice the columns, so
-    the product stays in real arithmetic: its real and imaginary parts are
-    bitwise the products of ``X.real`` and ``X.imag``. Each row sums its
-    products in stored column order, for every column alike, so a column's
-    result does not depend on the other columns of ``X``. A vector of the
-    matrix's dtype goes straight to SciPy's ``csr_matvec``, the kernel that
-    ``csr @ x`` runs, without its dispatch.
+    ``X`` is made C-contiguous in the product's dtype, at least float64. A
+    real ``A`` multiplies a complex ``X`` as its float64 view with twice the
+    columns, so the product stays in real arithmetic: its real and imaginary
+    parts are bitwise the products of ``X.real`` and ``X.imag``. Each row
+    sums its products in stored column order, for every column alike, so a
+    column's result does not depend on the other columns of ``X``.
     """
-    X = np.ascontiguousarray(X, dtype=np.result_type(X, np.float64))
-    csr = A.csr
-    if X.shape == (A.n,) and X.dtype == csr.dtype:
-        out = np.zeros(A.n, dtype=X.dtype)  # the kernel adds each row's products to it
-        csr_matvec(A.n, A.n, csr.indptr, csr.indices, csr.data, X, out)
-        return out
+    X = np.ascontiguousarray(X, dtype=np.result_type(X, A.data, np.float64))
+    if X.ndim not in (1, 2) or len(X) != A.n:  # the kernels read A.n rows of X unchecked
+        raise ValueError(f"operand shape {X.shape} does not match matrix dimension {A.n}")
     if A.is_real and X.dtype.kind == "c":
-        R = csr @ X.view(np.float64).reshape(A.n, -1)
+        R = _csr_product(A, X.view(np.float64).reshape(A.n, -1))
         return R.view(np.complex128).reshape(X.shape)
-    return csr @ X
+    out = np.zeros(X.shape, dtype=X.dtype)  # the kernels add each row's products to it
+    if X.ndim == 1:
+        csr_matvec(A.n, A.n, A.indptr, A.indices, A.data, X, out)
+    else:
+        csr_matvecs(A.n, A.n, X.shape[1], A.indptr, A.indices, A.data, X.ravel(), out.ravel())
+    return out
 
 
 def spmv(A: SparseSymMatrix, v, counter: "FlopCounter | None" = None) -> np.ndarray:
-    """Sparse matvec ``A @ v`` through the cached ``scipy.sparse`` view
-    :attr:`SparseSymMatrix.csr`.
+    """Sparse matvec ``A @ v`` by SciPy's compiled ``csr_matvec`` on the
+    matrix's own CSR arrays (see :func:`_csr_product`).
 
     A real matrix applied to a real vector runs entirely in float64, a
     complex matrix promotes the product to complex128. A real matrix applied
@@ -395,6 +386,4 @@ class FlopCounter:
         self.least_squares += ops
 
     def snapshot(self) -> "FlopCounter":
-        return FlopCounter(
-            self.matvec_real, self.matvec_complex, self.shift_update, self.least_squares
-        )
+        return replace(self)

@@ -29,7 +29,7 @@ import warnings
 
 import numpy as np
 
-from .core import EntryError, ShiftSet, SparseSymMatrix
+from .core import EntryError, ShiftSet, SparseSymMatrix, _row_indices, _values
 
 __all__ = [
     "ParseError",
@@ -66,7 +66,9 @@ def read_matrix_market(path) -> SparseSymMatrix:
     the file and converted internally. A non-finite value is reported at its
     first line; a duplicate or asymmetric entry, found by
     :class:`SparseSymMatrix`, at the line of the entry (or of the lower entry
-    it mirrors), for a duplicate its second occurrence.
+    it mirrors), for a duplicate its second occurrence. A dimension whose int64
+    row pointer NumPy cannot size is a :class:`ParseError`; one that does not
+    fit in memory is a ``MemoryError`` naming the size line.
     """
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
@@ -110,7 +112,7 @@ def read_matrix_market(path) -> SparseSymMatrix:
         raise ParseError(path, lineno, "size line must contain integers") from None
     if nrows != ncols:
         raise ParseError(path, lineno, f"matrix must be square, got {nrows}x{ncols}")
-    if nrows < 1 or nnz < 0:
+    if not 1 <= nrows < 2**60 - 1 or nnz < 0:  # n + 1 int64 row pointers: at most 2^63 - 1 bytes
         raise ParseError(path, lineno, "invalid dimensions")
 
     parsed = _bulk_entries(lines, lineno, nnz, ntok, nrows, symmetry == "symmetric")
@@ -128,6 +130,8 @@ def read_matrix_market(path) -> SparseSymMatrix:
         full = [np.concatenate([a, b[off]]) for a, b in ((rows, cols), (cols, rows), (vals, vals))]
     try:
         return SparseSymMatrix.from_coo(nrows, *full)
+    except MemoryError:  # the row pointer alone takes n + 1 entries
+        raise MemoryError(f"{path}:{lineno}: {nrows}x{nrows} matrix too large for memory") from None
     except EntryError as exc:  # the file's entry, or the lower one it mirrors
         held = np.flatnonzero((rows == exc.row) & (cols == exc.col))
         if not len(held):
@@ -212,7 +216,7 @@ def write_matrix_market(A: SparseSymMatrix, path) -> None:
     """Write the lower triangle as a Matrix Market ``symmetric`` coordinate
     file with shortest round-trip-exact values."""
     field = "real" if A.is_real else "complex"
-    rows = np.repeat(np.arange(A.n, dtype=np.int64), np.diff(A.indptr))
+    rows = _row_indices(A.indptr)
     keep = rows >= A.indices
     ri, ci, vi = rows[keep], A.indices[keep], A.data[keep]
     with open(path, "w") as fh:
@@ -299,10 +303,7 @@ def read_rhs(path, n: int) -> np.ndarray:
         raise ParseError(
             path, 1, f"rhs length mismatch: expected {n} entries, found {len(values)}"
         )
-    arr = np.array(values, dtype=np.complex128)
-    if not np.any(arr.imag):
-        return arr.real.astype(np.float64)
-    return arr
+    return _values(values)
 
 
 def write_history_csv(report, path) -> None:

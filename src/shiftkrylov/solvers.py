@@ -180,7 +180,7 @@ class ShiftBatch:
             counter.add_shift_update(ops * self.na)
             counter.add_least_squares(lsq * self.na)
         if full:
-            self.window.sweep(self, slice(0, self.na + self.pending), self.na)
+            self.window.sweep(self, slice(0, self.na + self.pending), self.na, self.X)
             self.window.k = self.pending = 0
 
     def iterates(self, rows):
@@ -226,7 +226,7 @@ class ShiftBatch:
 
     def finish(self):
         """Assemble the active and pending rows and return ``X``, put in shift order in place."""
-        self.window.sweep(self, slice(0, self.na + self.pending), 0)
+        self.window.sweep(self, slice(0, self.na + self.pending), 0, self.X)
         self.P1 = self.P2 = self.W = self.window.Vw = None
         X, row = self.X, self.row.tolist()
         for start in range(self.m):
@@ -258,19 +258,19 @@ class _Window:
         self.k += 1
         return self.k == self.steps
 
-    def sweep(self, batch, rows, carry, into=None):
-        """Add the window's steps to the iterates of ``rows`` (a slice or index
-        array) of ``batch`` by its coefficient rows ``coef``, or to ``into`` (a
-        copy of their ``X``), and advance the directions ``P1`` (``P2``) of the
-        first ``carry`` rows (``rows`` is then a slice from row 0) to the
-        window's last step. The rows are swept a bounded block at a time, and
-        each block's products a bounded panel of columns at a time."""
+    def sweep(self, batch, rows, carry, X):
+        """Add the window's steps to the iterates ``X`` of ``rows`` of
+        ``batch`` by its coefficient rows ``coef``, and advance the directions
+        ``P1`` (``P2``) of the first ``carry`` rows to the window's last step.
+        ``rows`` is a slice from row 0 with the batch's own ``X``, or an index
+        array with a copy of their iterates: row ``i`` of ``X`` is row ``i`` of
+        ``rows``. The rows are swept a bounded block at a time, and each
+        block's products a bounded panel of columns at a time."""
         k, Vw, (Dw, Aw, Bw) = self.k, self.Vw, (*batch.coef, None)[:3]
         h = len(batch.perm[rows])
         if k == 0 or h == 0:
             return
-        part = ((lambda lo, hi: slice(rows.start + lo, rows.start + hi))  # rows lo .. hi-1 of rows
-                if isinstance(rows, slice) else (lambda lo, hi: rows[lo:hi]))
+        part = slice if isinstance(rows, slice) else (lambda lo, hi: rows[lo:hi])  # rows lo .. hi-1
         ndir = 0 if not carry else 1 if Bw is None else 2  # directions carried per row
         carried = [P for P in (batch.P1, batch.P2) if P is not None]
         if carry and not carried:  # zero directions add nothing; every row is written below
@@ -323,11 +323,8 @@ class _Window:
                         for j, P in enumerate(carried):
                             out += Y[1 - j, a:b, None] * P[rt, cols]
                         new.append((rt, out))
-                    (rt, out), *directions = new  # every target reads the old directions
-                    if into is not None:
-                        into[lo + glo : lo + ghi, cols] += out
-                    else:
-                        batch.X[rt, cols] += out
+                    (_, out), *directions = new  # every target reads the old directions
+                    X[lo + glo : lo + ghi, cols] += out
                     for P, (rt, out) in zip((batch.P1, batch.P2), directions):
                         P[rt, cols] = out
                     del G, new, out, directions  # before the next panel's product is made

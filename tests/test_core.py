@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from shiftkrylov import FlopCounter, ShiftSet, SparseSymMatrix, core, true_residual
 from shiftkrylov.core import EntryError, bilinear_dot, principal_sqrt, spmv
@@ -187,28 +188,35 @@ class TestSpmv:
         assert res[0] == 0.0
         assert np.all(res[1:] > 0.0)
 
-    # real x real and complex x complex go straight to SciPy's csr_matvec; a
-    # real matrix takes a complex vector as its float64 view with two columns
-    @pytest.mark.parametrize("layout", ["contiguous", "strided", "read-only"])
-    @pytest.mark.parametrize("kind", ["real", "complex", "real matrix, complex vector"])
+    # a vector runs SciPy's csr_matvec and an (N, k) block its csr_matvecs; a
+    # real matrix takes a complex operand as its float64 view with twice the
+    # columns. The reference is SciPy's own product over the matrix's arrays
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "read-only", "F-ordered"])
+    @pytest.mark.parametrize("kind", ["real", "complex", "real matrix, complex vector",
+                                      "complex matrix, real vector"])
     def test_same_bits_and_dtype_as_the_csr_product(self, kind, layout):
         rng = np.random.default_rng(8)
         A, M = dense_pair(300, rng)
-        if kind != "complex":
+        if kind.startswith("real"):
             A = SparseSymMatrix.from_dense(M.real)
-        w = rng.standard_normal(600)
-        if kind != "real":
-            w = w + 1j * rng.standard_normal(600)
-        v = w[::2] if layout == "strided" else w[:300].copy()
-        v.setflags(write=layout != "read-only")
-        dense = np.ascontiguousarray(v)
-        if kind == "real matrix, complex vector":
-            ref = (A.csr @ dense.view(np.float64).reshape(300, 2)).view(np.complex128).ravel()
-        else:
-            ref = A.csr @ dense
-        for out in (core._csr_product(A, v), spmv(A, v)):
-            assert out.dtype == ref.dtype and out.shape == (300,)
-            assert out.tobytes() == ref.tobytes()
+        csr = scipy.sparse.csr_array((A.data, A.indices, A.indptr), shape=(300, 300))
+        for k in (None, 1, 2, 32):  # a vector, then blocks of k columns
+            shape = (600,) if k is None else (600, k)
+            w = rng.standard_normal(shape)
+            if kind in ("complex", "real matrix, complex vector"):
+                w = w + 1j * rng.standard_normal(shape)
+            order = "F" if layout == "F-ordered" else "C"
+            v = w[::2] if layout == "strided" else w[:300].copy(order=order)
+            v.setflags(write=layout != "read-only")
+            dense = np.ascontiguousarray(v)
+            if kind == "real matrix, complex vector":
+                ref = csr @ dense.view(np.float64).reshape(300, -1)
+                ref = ref.view(np.complex128).reshape(v.shape)
+            else:
+                ref = csr @ dense
+            for out in [core._csr_product(A, v)] + ([spmv(A, v)] if k is None else []):
+                assert out.dtype == ref.dtype and out.shape == v.shape
+                assert out.tobytes() == ref.tobytes()
 
     def test_dimension_mismatch(self):
         A = SparseSymMatrix.from_dense(np.eye(3))

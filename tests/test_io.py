@@ -287,13 +287,26 @@ class TestReadMatrixMarket:
         (HDR + "1 1 x\n1 1 1.0\n", 2, "size line must contain integers"),
         (HDR + "0 0 0\n", 2, "invalid dimensions"),
         (HDR + "2 2 -1\n1 1 1.0\n", 2, "invalid dimensions"),
+        (HDR + f"{10**30} {10**30} 1\n1 1 1.0\n", 2, "invalid dimensions"),
+        (HDR + f"{2**63 - 1} {2**63 - 1} 1\n1 1 1.0\n", 2, "invalid dimensions"),
+        (HDR + f"{2**60 - 1} {2**60 - 1} 1\n1 1 1.0\n", 2, "invalid dimensions"),
     ], ids=["banner", "vector", "blank-before-size", "no-size", "non-integer-size",
-            "zero-size", "negative-count"])
+            "zero-size", "negative-count", "size-1e30", "size-int64-max", "size-past-2^63-bytes"])
     def test_header_and_size_line_faults(self, tmp_path, text, line, message):
         p = write(tmp_path / "head.mtx", text)
         with pytest.raises(ParseError) as exc:
             read_matrix_market(p)
         assert str(exc.value) == f"{p}:{line}: {message}"
+
+    # 10^15 row pointers take 8 PB, past the x86-64 address space, so the
+    # allocation fails even where memory is overcommitted; 2^60 - 2 is the
+    # largest dimension whose row pointer NumPy can size (2^63 - 8 bytes)
+    @pytest.mark.parametrize("n", [10**15, 2**60 - 2])
+    def test_size_line_too_large_for_memory_names_the_file(self, tmp_path, n):
+        p = write(tmp_path / "big.mtx", HDR + f"% a comment\n{n} {n} 1\n1 1 1.0\n")
+        with pytest.raises(MemoryError) as exc:
+            read_matrix_market(p)
+        assert str(exc.value) == f"{p}:3: {n}x{n} matrix too large for memory"
 
     def test_trailing_blank_lines_and_no_entries(self, tmp_path):
         # blank lines after the data end it, in the one-pass parser and in the

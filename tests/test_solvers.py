@@ -368,7 +368,6 @@ class TestBlockResidual:
         X = rng.standard_normal((1001, 512)) + 1j * rng.standard_normal((1001, 512))
         sigmas = 0.4 + 0.001 * np.arange(1001) + 0.001j
         b = e1(512)
-        A.csr  # the cached sparse view is the matrix's, not the call's
         tracemalloc.start()
         try:
             norms = true_residual(A, sigmas, b, X)
@@ -1388,15 +1387,15 @@ class TestDeferredRetirement:
     @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("method", METHODS)
     def test_one_flush_per_window_and_one_at_the_end(self, monkeypatch, method, real):
-        # only the full-window flushes and finish write X; cocg's checks
-        # sweep the window into copies (into=...)
+        # only the full-window flushes and finish write the batch's X; cocg's
+        # checks sweep the window into copies
         calls = []
         sweep = solvers._Window.sweep
 
-        def counted(window, batch, rows, carry, into=None):
-            if into is None:
+        def counted(window, batch, rows, carry, X):
+            if X is batch.X:
                 calls.append(rows)
-            return sweep(window, batch, rows, carry, into)
+            return sweep(window, batch, rows, carry, X)
 
         monkeypatch.setattr(solvers._Window, "sweep", counted)
         x, rep = self.solve(monkeypatch, method, real)
@@ -1446,24 +1445,28 @@ class TestFlushTiling:
         # windows of 7 steps on a padded width of 608 columns. With
         # _BLOCK_ELEMS = 600 a GEMM takes 2 of the 6 shifts (3 row blocks) over
         # 96, 144 or 296 columns (3 to 7 panels, the last to the padded width);
-        # with 2^24 every GEMM takes all 6 shifts over whole rows
+        # with 60 a flush that carries directions also sweeps the rows 2 at a
+        # time (3 sweeps, over 8-column panels); with 2^24 every GEMM takes
+        # all 6 shifts over whole rows
         A, b = chain(n, real=real)
         family = CHAIN_SHIFTS
         TestWindowEngine.window(monkeypatch, 7, n)
         runs = []
-        for elems in (600, 2**24):
+        for elems in (600, 60, 2**24):
             monkeypatch.setattr(solvers, "_BLOCK_ELEMS", elems)
             counter = FlopCounter()
             x, rep = solve_all(A, b, family, method=method, tol=1e-10, record_history=True,
                                counter=counter)
             runs.append((x, rep, counter))
-        (x, rep, counter), (xw, repw, counterw) = runs
-        assert rep.all_converged and len(set(rep.iters)) > 3 and min(rep.iters) > 7
-        assert np.array_equal(x, xw)
-        assert list(rep.iters) == list(repw.iters) and rep.status == repw.status
-        assert np.array_equal(rep.final_rel_estimate, repw.final_rel_estimate)
-        assert rep.history == repw.history
-        assert vars(counter) == vars(counterw) and vars(rep.flops) == vars(repw.flops)
+        *tiled, (xw, repw, counterw) = runs
+        for x, rep, counter in tiled:
+            assert rep.all_converged and len(set(rep.iters)) > 3 and min(rep.iters) > 7
+            assert np.array_equal(x, xw)
+            assert list(rep.iters) == list(repw.iters) and rep.status == repw.status
+            assert np.array_equal(rep.final_rel_estimate, repw.final_rel_estimate)
+            assert rep.history == repw.history
+            assert vars(counter) == vars(counterw) and vars(rep.flops) == vars(repw.flops)
+        x = tiled[0][0]
         # a shift alone takes its GEMM alone, but has the bits it has in the family
         monkeypatch.setattr(solvers, "_BLOCK_ELEMS", 600)
         xs, solo = solve_all(A, b, family[3:4], method=method, tol=1e-10)

@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import io as skio
-from .core import BreakdownError, FlopCounter, SparseSymMatrix
+from .core import BreakdownError, FlopCounter, SparseSymMatrix, _norm2
 from .oracle import DEFAULT_CAP, DenseOracle
 from .solvers import METHODS, solve_all
 
@@ -197,7 +197,7 @@ def main(argv=None) -> int:
 
             oracle_distance = None
             if reference is not None:
-                oracle_distance = np.array([np.linalg.norm(x - xs) / np.linalg.norm(xs)
+                oracle_distance = np.array([_norm2(x - xs) / _norm2(xs)
                                             for x, xs in zip(solutions, reference)])
             del solutions  # the next method's solve needs no second m x N array
             if args.out_prefix:

@@ -269,10 +269,11 @@ class SparseSymMatrix:
         return f"SparseSymMatrix(n={self.n}, nnz={self.nnz}, {kind})"
 
 
-def _csr_product(A: SparseSymMatrix, X) -> np.ndarray:
+def _csr_product(A: SparseSymMatrix, X, counter: "FlopCounter | None" = None) -> np.ndarray:
     """``A @ X`` for ``X`` of shape ``(N,)`` or ``(N, k)`` by SciPy's compiled
     ``csr_matvec`` or ``csr_matvecs`` on the stored arrays: the kernels that
-    SciPy's ``csr_array @ X`` runs, so with its bits.
+    SciPy's ``csr_array @ X`` runs, so with its bits. Each column is charged
+    to ``counter`` as one matvec, real when ``A`` and ``X`` are both real.
 
     ``X`` is made C-contiguous in the product's dtype, at least float64. A
     real ``A`` multiplies a complex ``X`` as its float64 view with twice the
@@ -284,6 +285,8 @@ def _csr_product(A: SparseSymMatrix, X) -> np.ndarray:
     X = np.ascontiguousarray(X, dtype=np.result_type(X, A.data, np.float64))
     if X.ndim not in (1, 2) or len(X) != A.n:  # the kernels read A.n rows of X unchecked
         raise ValueError(f"operand shape {X.shape} does not match matrix dimension {A.n}")
+    if counter is not None:
+        counter.add_matvec(A.nnz * (X.size // A.n), real=X.dtype.kind != "c")
     if A.is_real and X.dtype.kind == "c":
         R = _csr_product(A, X.view(np.float64).reshape(A.n, -1))
         return R.view(np.complex128).reshape(X.shape)
@@ -296,23 +299,16 @@ def _csr_product(A: SparseSymMatrix, X) -> np.ndarray:
 
 
 def spmv(A: SparseSymMatrix, v, counter: "FlopCounter | None" = None) -> np.ndarray:
-    """Sparse matvec ``A @ v`` by SciPy's compiled ``csr_matvec`` on the
-    matrix's own CSR arrays (see :func:`_csr_product`).
-
-    A real matrix applied to a real vector runs entirely in float64, a
-    complex matrix promotes the product to complex128. A real matrix applied
-    to a complex vector stays in real arithmetic, so the result equals
-    ``spmv(A, v.real) + 1j * spmv(A, v.imag)`` bitwise and the real/complex
-    paths agree bitwise on real data. Any input layout is accepted
-    (non-contiguous, read-only); repeated calls are bit-reproducible.
+    """Sparse matvec ``A @ v`` of a vector by :func:`_csr_product`, which
+    charges it to ``counter``: in float64 when ``A`` and ``v`` are real, else
+    in complex128, but a real ``A`` applies to a complex ``v`` in real
+    arithmetic, so that the result is ``spmv(A, v.real) + 1j * spmv(A, v.imag)``
+    bitwise. Any input layout is accepted (non-contiguous, read-only).
     """
     v = np.asarray(v)
     if v.shape != (A.n,):
         raise ValueError(f"vector length {v.shape} does not match matrix dimension {A.n}")
-    out = _csr_product(A, v)
-    if counter is not None:
-        counter.add_matvec(A.nnz, real=A.is_real and v.dtype.kind != "c")
-    return out
+    return _csr_product(A, v, counter)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ on which other shifts are solved with it.
 
 from __future__ import annotations
 
+import math
 import operator
 import time
 from collections import namedtuple
@@ -335,6 +336,14 @@ def _abs(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
+def _ldexp(x: np.ndarray, e: int) -> np.ndarray:
+    """``x * 2^e`` in place, rounded once (an overflow to ``inf`` without a
+    warning), for a C-contiguous float64 or complex128 ``x``."""
+    with np.errstate(over="ignore"):
+        np.ldexp(x.view(np.float64), e, out=x.view(np.float64))
+    return x
+
+
 def _rotation_update(batch: ShiftBatch, step: LanczosStep, omegas, scale, counter):
     """Shared body of the rotation-based updates (identity and omega
     weights): apply the previous two rotations to the active columns, compute
@@ -472,9 +481,9 @@ def true_residual(A: SparseSymMatrix, sigma, b, x, counter: FlopCounter | None =
     per block of ``max(1, _BLOCK_ELEMS // N)`` rows, so the temporaries stay
     block-sized whatever ``k`` is. It runs through the same kernel as
     :func:`spmv`, so each column of ``A X^T`` is bitwise ``spmv(A, x_l)``.
-    Each norm is taken over its own contiguous row, so a shift's value does
-    not depend on which other rows share its block. Each row is charged as
-    one matvec.
+    Each norm is taken by :func:`_norm2` over its own contiguous row, so a
+    shift's value does not depend on which other rows share its block. Each
+    row is charged as one matvec.
     """
     b = np.asarray(b)
     x = np.asarray(x)
@@ -486,19 +495,14 @@ def true_residual(A: SparseSymMatrix, sigma, b, x, counter: FlopCounter | None =
     norms = np.empty(len(X))
     for lo in range(0, len(X), rb):
         XT = np.ascontiguousarray(X[lo : lo + rb].T, dtype=np.result_type(X, np.float64))
-        RT = _csr_product(A, XT)
+        RT = _csr_product(A, XT, counter)
         # R^T = (b - A X^T) - X^T diag(sigma), formed in the product's buffer
         # when the dtypes allow; every entry is rounded as in b - A x - sigma x
         dtype = np.result_type(RT, b, sigmas, XT)
         RT = np.subtract(b[:, None], RT, out=RT if RT.dtype == dtype else None, dtype=dtype)
         for i in range(0, A.n, _BLOCK_ELEMS):  # sigma x a bounded block at a time
             RT[i : i + _BLOCK_ELEMS] -= XT[i : i + _BLOCK_ELEMS] * sigmas[lo : lo + rb]
-        R = np.ascontiguousarray(RT.T)
-        if R.dtype.kind == "c":
-            R = R.view(np.float64)
-        norms[lo : lo + rb] = np.sqrt(np.einsum("ij,ij->i", R, R))
-    if counter is not None:
-        counter.add_matvec(len(X) * A.nnz, real=A.is_real and X.dtype.kind != "c")
+        norms[lo : lo + rb] = [_norm2(r) for r in np.ascontiguousarray(RT.T)]
     return float(norms[0]) if x.ndim == 1 else norms
 
 
@@ -543,20 +547,22 @@ class SolveReport:
         return any(s == "breakdown" for s in self.status)
 
 
-def _observed(batch: ShiftBatch) -> SimpleNamespace:
-    """The ``state`` a callback gets (see :func:`solve_all`). A shift retired
-    before the window began has its iterate in its row of ``X``; a pending
-    one is assembled like an active one."""
+def _observed(batch: ShiftBatch, e: int) -> SimpleNamespace:
+    """The ``state`` a callback gets (see :func:`solve_all`), its ``g``,
+    ``res`` and iterates scaled by ``2^e`` back to the scale of ``b``. A shift
+    retired before the window began has its iterate in its row of ``X``; a
+    pending one is assembled like an active one."""
     row = batch.row
 
     def iterates(ells=None):
         rows = row if ells is None else row[np.asarray(ells, dtype=np.intp)]
         X, live = batch.X[rows], rows < batch.na + batch.pending
         X[live] = batch.iterates(rows[live])
-        return X
+        return _ldexp(X, e)
 
-    return SimpleNamespace(sigma=batch.sigma[row], g=batch.g[row], res=batch.res[row],
-                           niter=batch.niter[row], iterates=iterates)
+    return SimpleNamespace(sigma=batch.sigma[row], g=_ldexp(batch.g[row], e),
+                           res=_ldexp(batch.res[row], e), niter=batch.niter[row],
+                           iterates=iterates)
 
 
 def _check_finite(values: np.ndarray, name: str):
@@ -664,6 +670,10 @@ def solve_all(
 
     A non-finite or non-positive ``tol``, and a non-finite shift or
     right-hand-side entry, raise ``ValueError``; the latter names its index.
+    The solve runs on ``b`` times the power of two ``2^-e`` that brings its
+    largest entry into ``[1, 2)``, so that ``g``, the residuals and the
+    iterates keep clear of float64's limits, and scales the solutions back.
+    A ``||b||``, a solution or a Lanczos vector that overflows raises ``ValueError``.
     A degenerate right-hand side raises :class:`BreakdownError` from
     initialization; breakdowns during the run are reported per shift in the
     report instead of raising. Hitting ``max_iter`` leaves the affected
@@ -685,13 +695,17 @@ def solve_all(
     spec = _METHODS[method]
 
     t0 = time.perf_counter()
-    lstate = lanczos_init(A, b_arr)
-    bnorm = lstate.bnorm2
+    e = math.frexp(np.abs(b_arr).max(initial=0.0))[1] - 1
+    b_s = _ldexp(np.array(b_arr, dtype=np.result_type(b_arr, np.float64)), -e) if e else b_arr
+    lstate = lanczos_init(A, b_s)
+    snorm, bnorm = lstate.bnorm2, lstate.bnorm2 * 2.0**e  # ||b * 2^-e||, ||b||
+    if bnorm == math.inf:
+        raise ValueError("||b|| = inf: the right-hand side exceeds float64 range")
     batch = ShiftBatch(method, shifts.shifts, lstate.g1, lstate.v_curr, max_iter, record_history)
-    target = tol * bnorm
+    target = tol * snorm
     # the starting residual is b itself (x_0 = 0); shifts already inside the
     # tolerance never enter the update loop
-    batch.res[:] = bnorm
+    batch.res[:] = snorm
     batch.retire(batch.res <= target)
 
     iterations, lucky = 0, False
@@ -709,23 +723,24 @@ def solve_all(
         spec.update(batch, step, counter)
         est = spec.estimate(batch, step)
         if spec.check is not None:
-            spec.check(A, b_arr, batch, est, target, counter)
-        batch.record(n, est, target, bnorm)
+            spec.check(A, b_s, batch, est, target, counter)
+        batch.record(n, est, target, snorm)
         if callback is not None:
-            callback(n, _observed(batch))
+            callback(n, _observed(batch, e))
         if step.lucky:
             lucky = True
             break
 
     solutions = batch.finish()
-    wall = time.perf_counter() - t0
-    order = batch.row
-    final_rel_true = (true_residual(A, shifts.shifts, b_arr, solutions, counter) / bnorm
-                      if true_residuals else None)
-    res = batch.res[order]
+    res = batch.res[batch.row]
     if spec.check is not None:  # explicit residuals of the unverified iterates
         rest = [ell for ell, s in enumerate(batch.status) if s != "converged"]
-        res[rest] = true_residual(A, shifts.shifts[rest], b_arr, solutions[rest], counter)
+        res[rest] = true_residual(A, shifts.shifts[rest], b_s, solutions[rest], counter)
+    if e and not np.isfinite(_ldexp(solutions, e)).all():
+        raise ValueError("a solution exceeds float64 range")
+    wall = time.perf_counter() - t0
+    final_rel_true = (true_residual(A, shifts.shifts, b_arr, solutions, counter) / bnorm
+                      if true_residuals else None)
     report = SolveReport(
         method=method,
         n=A.n,
@@ -737,8 +752,8 @@ def solve_all(
         wall_time=wall,
         shifts=shifts.shifts.copy(),
         status=batch.status,
-        iters=batch.niter[order],
-        final_rel_estimate=np.where(np.isfinite(res), res / bnorm, np.inf),
+        iters=batch.niter[batch.row],
+        final_rel_estimate=np.where(np.isfinite(res), res / snorm, np.inf),
         flops=counter.snapshot(),
         final_rel_true=final_rel_true,
         failure=batch.failure,

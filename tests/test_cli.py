@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -322,6 +323,75 @@ class TestRun:
         # |sigma|^2 overflows float64; every method must still finish cleanly
         shifts = write_shift_file(tmp_path / "s.txt", "1e300 1e300\n0.5 0.1\n")
         assert main(["--generate", "64,5,1", "--shifts", shifts]) == EXIT_OK
+
+    def summaries(self, capsys, args):
+        """The summary lines of one successful run, without their timing."""
+        assert main(args) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        return re.sub(r" wall=\S+", "", out)
+
+    @pytest.mark.parametrize("first", ["1e15", "1e200", "1e-200", "1e-320"])
+    def test_rhs_scale_keeps_the_summaries(self, tmp_path, capsys, first):
+        # b = 1e15 e_1 stopped the QMR methods "lucky" at step 1, 1e200 ended
+        # in an OverflowError traceback and 1e-200 in a breakdown at step 0;
+        # at the subnormal 1e-320 the recurrences for g underflowed and the
+        # QMR methods reported "converged" at step 5
+        shifts = write_shift_file(tmp_path / "s.txt", "0.5 0.01\n0.3 0\n")
+        runs = []
+        for value in ("1", first):
+            rhs = tmp_path / f"b{value}.txt"
+            rhs.write_text(f"{value} 0\n" + "0 0\n" * 63)
+            runs.append(self.summaries(capsys, ["--generate", "64,5,1", "--shifts", shifts,
+                                                "--tol", "1e-10", "--rhs", str(rhs)]))
+        assert runs[0] == runs[1] and "iterations=14 converged=2/2" in runs[0]
+
+    def test_matrix_scale_keeps_the_summaries(self, tmp_path, capsys):
+        # entries about 1e160 overflowed ||v~||^2 into a traceback
+        A = generate_hamiltonian_analog(64, 5, 1)
+        runs = []
+        for scale in (1.0, 1e160):
+            mtx = tmp_path / f"a{scale}.mtx"
+            write_matrix_market(SparseSymMatrix(A.n, A.indptr, A.indices, A.data * scale), mtx)
+            shifts = write_shift_file(tmp_path / "s.txt", f"{0.5 * scale} {0.01 * scale}\n")
+            runs.append(self.summaries(capsys, ["--matrix", str(mtx), "--shifts", shifts,
+                                                "--tol", "1e-10"]))
+        assert runs[0] == runs[1]
+
+    def test_solution_beyond_float64_is_usage_error(self, tmp_path, capsys):
+        # A at 1e-20 and b at 1e300: x near 1e320 came back with non-finite
+        # entries and a "converged" status
+        A = generate_hamiltonian_analog(64, 5, 1)
+        mtx = tmp_path / "tiny.mtx"
+        write_matrix_market(SparseSymMatrix(A.n, A.indptr, A.indices, A.data * 1e-20), mtx)
+        rhs = tmp_path / "b.txt"
+        rhs.write_text("1e300 0\n" + "0 0\n" * 63)
+        shifts = write_shift_file(tmp_path / "s.txt", "0.5e-20 0.01e-20\n")
+        code = main(["--matrix", str(mtx), "--shifts", shifts, "--rhs", str(rhs)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: a solution exceeds float64 range\n"
+
+    def test_rhs_norm_beyond_float64_is_usage_error(self, tmp_path, capsys):
+        rhs = tmp_path / "b.txt"
+        rhs.write_text("1.5e308 0\n1.5e308 0\n0 0\n")
+        shifts = write_shift_file(tmp_path / "s.txt")
+        code = main(["--matrix", identity_mtx(tmp_path), "--shifts", shifts, "--rhs", str(rhs)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: ||b|| = inf: the right-hand side exceeds float64 range\n")
+
+    # the overflowed product reaches the step's norm without a RuntimeWarning
+    # on the way, which -W error would turn into a traceback
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_product_beyond_float64_is_usage_error(self, tmp_path, capsys):
+        mtx = tmp_path / "over.mtx"
+        write_matrix_market(SparseSymMatrix.from_dense(np.full((3, 3), 1.5e308)), mtx)
+        rhs = tmp_path / "b.txt"
+        rhs.write_text("1 0\n1 0\n0 0\n")
+        shifts = write_shift_file(tmp_path / "s.txt")
+        assert main(["--matrix", str(mtx), "--shifts", shifts, "--rhs", str(rhs)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "error: ||v|| = nan at Lanczos step 1: the input exceeds float64 range\n"
 
     def test_non_finite_shift_is_usage_error(self, tmp_path, capsys):
         shifts = write_shift_file(tmp_path / "s.txt", "0.5 0.1\nnan 0\n")

@@ -230,6 +230,10 @@ class TestSpmv:
         assert c.matvec_real == 2 * A.nnz and c.matvec_complex == 0
         spmv(A, np.ones(3, dtype=complex), counter=c)
         assert c.matvec_complex == 2 * A.nnz
+        # a complex matrix times a real vector runs, and is charged, in complex arithmetic
+        Z = SparseSymMatrix.from_dense(np.diag([1.0, 2.0, 1j]))
+        spmv(Z, np.ones(3), counter=c)
+        assert (c.matvec_real, c.matvec_complex) == (2 * A.nnz, 2 * A.nnz + 2 * Z.nnz)
 
 
 class TestSparseSymMatrix:

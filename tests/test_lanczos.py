@@ -24,6 +24,16 @@ class TestInit:
         assert np.all(st.v_prev == 0.0)
         assert st.bnorm2 == 5.0
 
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_power_of_two_scale_keeps_v1(self, k):
+        # b^T b overflowed at 2^600 and underflowed at 2^-600; the norm is
+        # brought near [1/2, 1) before it is formed
+        A = SparseSymMatrix.from_dense(np.eye(3))
+        b = np.array([3.0 + 1.0j, -4.0, 0.5j])
+        st0, st = lanczos_init(A, b), lanczos_init(A, b * 2.0**k)
+        assert st.v_curr.tobytes() == st0.v_curr.tobytes()
+        assert (st.g1, st.bnorm2, st.v_norms) == (st0.g1 * 2.0**k, st0.bnorm2 * 2.0**k, st0.v_norms)
+
     def test_principal_branch_forced(self):
         A = SparseSymMatrix.from_dense(np.eye(2))
         st = lanczos_init(A, np.array([1j, 0.0]))

@@ -35,6 +35,7 @@ from _reference import (
     run_diagnostic,
 )
 from test_acceptance import attainable_gap
+from test_core import tight_binding_lattice
 
 EPS = np.finfo(np.float64).eps
 
@@ -1541,3 +1542,47 @@ class TestFlushTiling:
         assert np.array_equal(x[pick], xs[0])
         assert fam.history[pick] == solo.history[0]
         assert fam.final_rel_estimate[pick] == solo.final_rel_estimate[0]
+
+
+def scale_problem(kind):
+    """A banded real matrix with a real ``b``, a real 3-D lattice with its
+    centre site, or a complex absorbing lattice with a complex ``b``; each
+    with its shifts."""
+    rng = np.random.default_rng(47)
+    if kind == "banded":
+        A = generate_hamiltonian_analog(64, 5, 1)
+        return A, rng.standard_normal(64), np.array([0.5 + 0.01j, 0.3])
+    n, rows, cols, vals = tight_binding_lattice(8 if kind == "lattice" else 6, 1.0, 42,
+                                                cap_layers=0 if kind == "lattice" else 2)
+    A = SparseSymMatrix.from_coo(n, rows, cols, vals)
+    if kind == "lattice":
+        b = np.zeros(n)
+        b[(4 * 8 + 4) * 8 + 4] = 1.0
+    else:
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return A, b, np.array([-2.0 + 0.1j, 0.5 + 0.1j, 3.0 + 0.1j])
+
+
+class TestScaleInvariance:
+    # (ka, kb): A and the shifts times 2^ka, b times 2^kb. Every operation of
+    # a solve then rounds as at (0, 0), so the report has the same bits and X
+    # is scaled by exactly 2^(kb - ka). A lucky-termination test against
+    # ||b|| stopped the QMR methods at step 1, "converged", once
+    # ||b|| / ||A|| reached about 2^47, and b^T b overflowed at 2^600
+    SCALES = [(0, 60), (0, -60), (50, 0), (-50, 0), (-20, 30), (0, 600), (0, -600)]
+
+    @pytest.mark.parametrize("kind", ["banded", "lattice", "absorbing"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_power_of_two_scaling_keeps_the_bits(self, kind, method):
+        A, b, shifts = scale_problem(kind)
+        assert A.is_real == (kind != "absorbing")
+        x0, r0 = solve_all(A, b, shifts, method=method, tol=1e-10, counter=FlopCounter())
+        assert r0.all_converged and not r0.lucky
+        for ka, kb in self.SCALES:
+            As = SparseSymMatrix(A.n, A.indptr, A.indices, A.data * 2.0**ka)
+            x, r = solve_all(As, b * 2.0**kb, shifts * 2.0**ka, method=method, tol=1e-10,
+                             counter=FlopCounter())
+            assert r.status == r0.status and np.array_equal(r.iters, r0.iters), (ka, kb)
+            assert (r.iterations, r.lucky, r.flops) == (r0.iterations, r0.lucky, r0.flops)
+            assert r.final_rel_estimate.tobytes() == r0.final_rel_estimate.tobytes(), (ka, kb)
+            assert x.tobytes() == (x0 * 2.0 ** (kb - ka)).tobytes(), (ka, kb)

@@ -17,8 +17,6 @@ chunks of ``_DOT_CHUNK`` entries, and 2-norms run through BLAS ``dnrm2`` /
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,7 +30,6 @@ __all__ = [
     "ShiftSet",
     "SparseSymMatrix",
     "bilinear_dot",
-    "principal_sqrt",
     "spmv",
 ]
 
@@ -60,25 +57,6 @@ class EntryError(ValueError):
     def __init__(self, row, col, what: str):
         self.row, self.col = int(row), int(col)
         super().__init__(f"{what} ({self.row},{self.col})")
-
-
-def principal_sqrt(z):
-    """Principal-branch square root.
-
-    For ``z = r e^{i theta}`` with ``theta in (-pi, pi]`` returns
-    ``sqrt(r) e^{i theta/2}``, so ``Re(sqrt(z)) >= 0`` and negative reals map
-    to ``+i sqrt(|z|)``. A ``-0.0`` imaginary part is normalized to ``+0.0``
-    first so the branch cut always lands on ``theta = +pi``. Real nonnegative
-    input stays real.
-    """
-    if isinstance(z, (float, int, np.floating, np.integer)):
-        if z >= 0:
-            return math.sqrt(z)
-        return complex(0.0, math.sqrt(-z))
-    z = complex(z)
-    if z.imag == 0.0:
-        z = complex(z.real, 0.0)
-    return cmath.sqrt(z)
 
 
 # Entries per BLAS dot product: below OpenBLAS's threading bound of 10,000
@@ -374,12 +352,6 @@ class FlopCounter:
             self.matvec_real += 2 * nnz
         else:
             self.matvec_complex += 2 * nnz
-
-    def add_shift_update(self, ops: int):
-        self.shift_update += ops
-
-    def add_least_squares(self, ops: int):
-        self.least_squares += ops
 
     def snapshot(self) -> "FlopCounter":
         return replace(self)

@@ -22,6 +22,7 @@ breakdown of the bilinear pairing and aborts the process.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -34,7 +35,6 @@ from .core import (
     SparseSymMatrix,
     _norm2,
     bilinear_dot,
-    principal_sqrt,
     spmv,
 )
 
@@ -112,10 +112,11 @@ def _normalize(x: np.ndarray, n: int, floor: float):
     xtx = bilinear_dot(x, x)
     if abs(xtx) <= BREAKDOWN_TOL * norm * norm:
         raise BreakdownError("bilinear", n, f"|v^T v| = {abs(xtx) / (norm * norm):.3e} ||v||^2")
-    beta = principal_sqrt(xtx)
-    if x.dtype.kind == "c":
+    if x.dtype.kind == "c":  # + 0j makes a -0.0 imaginary part +0.0: the branch cut lands on +pi
+        beta = cmath.sqrt(xtx + 0j)
         x *= 1.0 / beta  # NumPy divides complex arrays without SIMD
     else:
+        beta = math.sqrt(xtx)
         x /= beta
     return (beta * math.ldexp(1.0, -e) if e else beta), xnorm
 

@@ -59,7 +59,6 @@ __all__ = [
     "SolveReport",
     "cocg_galerkin_update",
     "estimate_residual_qmr",
-    "estimate_residual_qmr_b",
     "qmr_sym_b_update",
     "qmr_sym_omega_update",
     "qmr_sym_update",
@@ -178,8 +177,8 @@ class ShiftBatch:
             self.retire(bad, "breakdown")
         self.niter[: self.na] = step.n  # a retired row keeps its count of the last step
         if counter is not None:
-            counter.add_shift_update(ops * self.na)
-            counter.add_least_squares(lsq * self.na)
+            counter.shift_update += ops * self.na
+            counter.least_squares += lsq * self.na
         if full:
             self.window.sweep(self, slice(0, self.na + self.pending), self.na, self.X)
             self.window.k = self.pending = 0
@@ -452,23 +451,18 @@ def qmr_sym_b_update(batch: ShiftBatch, step: LanczosStep, counter: FlopCounter 
 cocg_galerkin_update = qmr_sym_b_update
 
 
-def estimate_residual_qmr(batch: ShiftBatch) -> np.ndarray:
-    """Residual 2-norm estimates ``|g_{n+1}| * ||w_{n+1}||`` of the active
-    shifts for the rotation methods, with the norms the update took. On the
-    real path neither ``qmr-sym`` nor ``qmr-sym-omega`` keeps a ``w``: its
-    norm factor is one (up to rounding for the weighted ``w~``) and the
-    estimate is exactly ``|g_{n+1}|``."""
+def estimate_residual_qmr(batch: ShiftBatch, step: LanczosStep) -> np.ndarray:
+    """Residual 2-norm estimates ``|g_{n+1}| * ||u_{n+1}||`` of the active
+    shifts after ``step``, one rule for every method with its own direction
+    ``u``: the rotation methods' ``w_{n+1}``, whose norms the update took,
+    and otherwise ``v_{n+1}``, whose norm ``step.v_next_norm`` the Lanczos
+    step published (Freund, *SISC* 13, 1992). On a real basis ``||u||`` is
+    one (up to rounding for ``qmr-sym-omega``'s ``w~``) and the estimate is
+    exactly ``|g_{n+1}|``."""
     g = _abs(batch.g[: batch.na])
-    return g if batch.W is None else g * batch.wnorm[: batch.na]
-
-
-def estimate_residual_qmr_b(batch: ShiftBatch, v_next_norm: float) -> np.ndarray:
-    """Residual 2-norm estimates ``|g~_{n+1}| * ||v_{n+1}||`` of the active
-    shifts for the bidiagonal-weight method, given the norm
-    ``LanczosStep.v_next_norm`` that the Lanczos step published; exactly
-    ``|g~_{n+1}|`` on the real path, where basis vectors have unit 2-norm."""
-    g = _abs(batch.g[: batch.na])
-    return g if batch.real else g * v_next_norm
+    if batch.real:
+        return g
+    return g * (step.v_next_norm if batch.W is None else batch.wnorm[: batch.na])
 
 
 def true_residual(A: SparseSymMatrix, sigma, b, x, counter: FlopCounter | None = None):
@@ -590,27 +584,23 @@ def _check_explicitly(A, b, batch, est, target, counter):
         est[r] = true_residual(A, batch.sigma[r], b, batch.iterates(r), counter=counter)
 
 
-# One method as data. update(batch, step, counter) and estimate(batch, step)
-# call this module's functions by name, so that a replaced global is called.
-# state: the per-shift scalars (f is the factor of g, -sbar for the rotations);
-# directions: 2 for the rotations, which keep w on a complex basis, else 1;
-# check: replaces the estimates that meet the target by explicit residuals.
-_Method = namedtuple("_Method", "update estimate state directions weighted check",
+# One method as data. update(batch, step, counter) calls this module's function
+# by name, so that a replaced global is called; solve_all calls the one
+# estimate_residual_qmr the same way for every method. state: the per-shift
+# scalars (f is the factor of g, -sbar for the rotations); directions: 2 for
+# the rotations, which keep w on a complex basis, else 1; check: replaces the
+# estimates that meet the target by explicit residuals.
+_Method = namedtuple("_Method", "update state directions weighted check",
                      defaults=(False, None))
 _ELIMINATION = (("diag1", complex), ("f", complex))
 _ROTATION = _ELIMINATION + (("diag2", complex), ("s1", complex), ("s2", complex),
                             ("c1", float), ("c2", float))
 _METHODS = {
-    "cocg": _Method(lambda *args: cocg_galerkin_update(*args),
-                    lambda batch, step: estimate_residual_qmr_b(batch, step.v_next_norm),
-                    _ELIMINATION, 1, check=_check_explicitly),
-    "qmr-sym": _Method(lambda *args: qmr_sym_update(*args),
-                       lambda batch, step: estimate_residual_qmr(batch), _ROTATION, 2),
-    "qmr-sym-b": _Method(lambda *args: qmr_sym_b_update(*args),
-                         lambda batch, step: estimate_residual_qmr_b(batch, step.v_next_norm),
-                         _ELIMINATION, 1),
-    "qmr-sym-omega": _Method(lambda *args: qmr_sym_omega_update(*args),
-                             lambda batch, step: estimate_residual_qmr(batch), _ROTATION, 2,
+    "cocg": _Method(lambda *args: cocg_galerkin_update(*args), _ELIMINATION, 1,
+                    check=_check_explicitly),
+    "qmr-sym": _Method(lambda *args: qmr_sym_update(*args), _ROTATION, 2),
+    "qmr-sym-b": _Method(lambda *args: qmr_sym_b_update(*args), _ELIMINATION, 1),
+    "qmr-sym-omega": _Method(lambda *args: qmr_sym_omega_update(*args), _ROTATION, 2,
                              weighted=True),
 }
 METHODS = tuple(_METHODS)
@@ -721,7 +711,7 @@ def solve_all(
             break
         iterations = n
         spec.update(batch, step, counter)
-        est = spec.estimate(batch, step)
+        est = estimate_residual_qmr(batch, step)
         if spec.check is not None:
             spec.check(A, b_s, batch, est, target, counter)
         batch.record(n, est, target, snorm)

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse
 
 from shiftkrylov import FlopCounter, ShiftSet, SparseSymMatrix, core, true_residual
-from shiftkrylov.core import EntryError, bilinear_dot, principal_sqrt, spmv
+from shiftkrylov.core import EntryError, bilinear_dot, spmv
 
 from _reference import rand_complex_symmetric
 
@@ -71,25 +71,6 @@ class TestBilinearDot:
             u[n // 2] = complex(np.nan, 1.0)
             assert cmath.isnan(bilinear_dot(u, np.ones(n, dtype=complex)))
             assert cmath.isnan(bilinear_dot(np.ones(n, dtype=complex), u))
-
-
-class TestPrincipalSqrt:
-    def test_negative_real_maps_to_positive_imaginary(self):
-        assert principal_sqrt(-1.0 + 0.0j) == 1j
-        assert principal_sqrt(complex(-4.0, -0.0)) == 2j
-        assert principal_sqrt(-9.0) == 3j
-
-    def test_real_nonnegative_stays_real(self):
-        r = principal_sqrt(4.0)
-        assert r == 2.0 and isinstance(r, float)
-
-    def test_principal_branch_has_nonnegative_real_part(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            z = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
-            s = principal_sqrt(z)
-            assert s.real >= 0.0
-            assert abs(s * s - z) <= 1e-14 * max(abs(z), 1.0)
 
 
 def tight_binding_lattice(L, disorder, seed, cap_layers=0):
@@ -358,11 +339,11 @@ class TestShiftSet:
 class TestFlopCounter:
     def test_accumulates_and_merges(self):
         c = FlopCounter()
-        c.add_shift_update(10)
-        c.add_least_squares(3)
+        c.shift_update += 10
+        c.least_squares += 3
         c.add_matvec(2, real=True)
         assert (c.matvec_real, c.shift_update, c.least_squares) == (4, 10, 3)
         assert c.matvec == 4
         snap = c.snapshot()
-        c.add_shift_update(5)
+        c.shift_update += 5
         assert c.shift_update == 15 and snap.shift_update == 10

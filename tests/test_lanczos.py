@@ -1,8 +1,11 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 
 from shiftkrylov import BreakdownError, SparseSymMatrix
-from shiftkrylov.core import _norm2, bilinear_dot, principal_sqrt, spmv
+from shiftkrylov.core import _norm2, bilinear_dot, spmv
 from shiftkrylov.lanczos import LanczosStep, lanczos_init, lanczos_step
 
 from _reference import (
@@ -39,6 +42,30 @@ class TestInit:
         st = lanczos_init(A, np.array([1j, 0.0]))
         assert st.g1 == 1j
         assert np.allclose(st.v_curr, [1.0, 0.0], atol=1e-16)
+
+    def test_negative_zero_imaginary_part_takes_the_principal_branch(self):
+        # b^T b = -4 - 0j, where a bare cmath.sqrt gives -2j
+        A = SparseSymMatrix.from_dense(np.array([[1.0 + 1.0j]]))
+        b = np.array([complex(-0.0, 2.0)])
+        btb = bilinear_dot(b, b)
+        assert btb == -4.0 and math.copysign(1.0, btb.imag) == -1.0
+        assert lanczos_init(A, b).g1 == 2j
+        assert lanczos_init(A, np.array([1j])).g1 == 1j
+
+    def test_real_rhs_has_a_real_nonnegative_root(self):
+        A = SparseSymMatrix.from_dense(np.array([[2.0]]))
+        st = lanczos_init(A, np.array([-3.0]))
+        assert st.g1 == 3.0 and isinstance(st.g1, float)
+        assert st.v_curr.tolist() == [-1.0]
+
+    def test_complex_roots_have_nonnegative_real_part(self):
+        rng = np.random.default_rng(3)
+        A = SparseSymMatrix.from_dense(np.eye(3))
+        for _ in range(200):
+            b = rng.uniform(-5, 5, 3) + 1j * rng.uniform(-5, 5, 3)
+            g1, btb = lanczos_init(A, b).g1, bilinear_dot(b, b)
+            assert g1.real >= 0.0
+            assert abs(g1 * g1 - btb) <= 1e-14 * abs(btb)
 
     def test_isotropic_rhs_breaks_down(self):
         A = SparseSymMatrix.from_dense(np.eye(2))
@@ -119,7 +146,8 @@ class TestStep:
             Av = spmv(A, step.v)
             alpha = bilinear_dot(step.v, Av)
             vt = Av - alpha * step.v - beta_prev * v_prev
-            beta = principal_sqrt(bilinear_dot(vt, vt))
+            vtv = bilinear_dot(vt, vt)
+            beta = math.sqrt(vtv) if real else cmath.sqrt(vtv + 0j)  # the principal root
             assert not step.lucky
             assert complex(step.alpha) == complex(alpha) and complex(step.beta) == complex(beta)
             # a complex basis is normalized by a multiply with 1 / beta, a real one by a division

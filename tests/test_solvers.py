@@ -15,13 +15,12 @@ from shiftkrylov import (
     solve_all,
     true_residual,
 )
-from shiftkrylov import solvers
+from shiftkrylov import lanczos, solvers
 from shiftkrylov.lanczos import LanczosStep, lanczos_init, lanczos_step
 from shiftkrylov.solvers import (
     ShiftBatch,
     cocg_galerkin_update,
     estimate_residual_qmr,
-    estimate_residual_qmr_b,
     qmr_sym_b_update,
     qmr_sym_omega_update,
     qmr_sym_update,
@@ -38,6 +37,8 @@ from test_acceptance import attainable_gap
 from test_core import tight_binding_lattice
 
 EPS = np.finfo(np.float64).eps
+UPDATES = {"qmr-sym": qmr_sym_update, "qmr-sym-b": qmr_sym_b_update,
+           "qmr-sym-omega": qmr_sym_omega_update, "cocg": cocg_galerkin_update}
 
 
 def sparse_from(M):
@@ -612,8 +613,11 @@ class TestResidualEstimates:
             qmr_sym_b_update(stb, step)
             tq = true_residual(A, 0.5j, b, stq.iterates([0])[0])
             tb = true_residual(A, 0.5j, b, stb.iterates([0])[0])
-            assert abs(estimate_residual_qmr(stq)[0] - tq) <= 1e-10 * tq
-            assert abs(estimate_residual_qmr_b(stb, step.v_next_norm)[0] - tb) <= 1e-10 * tb
+            assert abs(estimate_residual_qmr(stq, step)[0] - tq) <= 1e-10 * tq
+            est_b = estimate_residual_qmr(stb, step)
+            assert abs(est_b[0] - tb) <= 1e-10 * tb
+            # no w is kept: the rule reads the norm the Lanczos step published
+            assert stb.W is None and est_b[0] == solvers._abs(stb.g[:1])[0] * step.v_next_norm
 
     def test_true_residual_trivia(self):
         A = sparse_from(np.array([[2.0]]))
@@ -630,8 +634,8 @@ class TestResidualVectorNorms:
     the norm the update took of each row of ``W``."""
 
     @staticmethod
-    def estimates(batch):
-        est = estimate_residual_qmr(batch)
+    def estimates(batch, step):
+        est = estimate_residual_qmr(batch, step)
         na = batch.na
         ref = np.abs(batch.g[:na]) * np.linalg.norm(batch.W[:na], axis=1)
         np.testing.assert_allclose(est, ref, rtol=8 * EPS, atol=0)
@@ -642,32 +646,35 @@ class TestResidualVectorNorms:
         rng = np.random.default_rng(43)
         A = sparse_from(rand_complex_symmetric(30, rng))
         b = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-        update = qmr_sym_update if method == "qmr-sym" else qmr_sym_omega_update
+        update = UPDATES[method]
         shifts = [0.2 + 0.1j, 0.5 + 0.3j, 1.0 + 0.05j, 1.5 + 0.2j, 2.0 + 0.4j]
         state = lanczos_init(A, b)
         batch = ShiftBatch(method, shifts, state.g1, state.v_curr, 50)
         for _ in range(6):
-            update(batch, lanczos_step(state, A))
-            est = self.estimates(batch)
+            step = lanczos_step(state, A)
+            update(batch, step)
+            est = self.estimates(batch, step)
         # rows 0 and 2 retire: rows 3 and 4 move into them
         batch.retire(np.array([True, False, True, False, False]))
         assert batch.na == 3 and list(batch.perm[:3]) == [3, 1, 4]
-        assert np.array_equal(self.estimates(batch), est[[3, 1, 4]])
+        assert np.array_equal(self.estimates(batch, step), est[[3, 1, 4]])
         for _ in range(4):
-            update(batch, lanczos_step(state, A))
-            self.estimates(batch)
+            step = lanczos_step(state, A)
+            update(batch, step)
+            self.estimates(batch, step)
 
-    @pytest.mark.parametrize("method", ["qmr-sym", "qmr-sym-omega"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_real_basis_estimate_is_exactly_abs_g(self, method):
         rng = np.random.default_rng(44)
         A = sparse_from(rand_real_symmetric(20, rng))
-        update = qmr_sym_update if method == "qmr-sym" else qmr_sym_omega_update
+        update = UPDATES[method]
         state = lanczos_init(A, rng.standard_normal(20))
         batch = ShiftBatch(method, [0.3 + 0.1j, 0.8 + 0.2j], state.g1, state.v_curr, 50)
         assert batch.W is None
         for _ in range(5):
-            update(batch, lanczos_step(state, A))
-            est = estimate_residual_qmr(batch)
+            step = lanczos_step(state, A)
+            update(batch, step)
+            est = estimate_residual_qmr(batch, step)
             assert est.tolist() == [abs(complex(g)) for g in batch.g[: batch.na]]
 
 
@@ -688,7 +695,7 @@ class TestOmegaVariant:
         x, rep = solve_all(A, b, [sigma], method="qmr-sym-omega", tol=1e-30, max_iter=8)
         assert rep.iters[0] == 8
         assert np.array_equal(x[0], st.X[0])
-        assert rep.final_rel_estimate[0] == estimate_residual_qmr(st)[0] / rep.bnorm
+        assert rep.final_rel_estimate[0] == estimate_residual_qmr(st, step)[0] / rep.bnorm
 
     def test_real_problem_degenerates_to_identity_weight(self):
         rng = np.random.default_rng(24)
@@ -729,8 +736,7 @@ class TestDriver:
     def test_custom_driver_reproduces_solve_all(self, method, real):
         # the pieces the README offers custom drivers: the Lanczos stream, a
         # ShiftBatch, the method's update and estimate, record and finish
-        update = {"qmr-sym": qmr_sym_update, "qmr-sym-b": qmr_sym_b_update,
-                  "qmr-sym-omega": qmr_sym_omega_update}[method]
+        update = UPDATES[method]
         A, b = chain(real=real)
         tol, steps = 1e-10, solvers._WINDOW_ELEMS // A.n * (1 if real else 2)
         x, rep = solve_all(A, b, CHAIN_SHIFTS, method=method, tol=tol)
@@ -743,9 +749,7 @@ class TestDriver:
             n += 1
             step = lanczos_step(state, A)
             update(batch, step)
-            est = (estimate_residual_qmr_b(batch, step.v_next_norm) if method == "qmr-sym-b"
-                   else estimate_residual_qmr(batch))
-            batch.record(n, est, tol * bnorm, bnorm)
+            batch.record(n, estimate_residual_qmr(batch, step), tol * bnorm, bnorm)
         # several full windows, and shifts deflated within one
         assert rep.all_converged and n == rep.iterations > 2 * steps
         assert any(ell % steps for ell in rep.iters)
@@ -1586,3 +1590,57 @@ class TestScaleInvariance:
             assert (r.iterations, r.lucky, r.flops) == (r0.iterations, r0.lucky, r0.flops)
             assert r.final_rel_estimate.tobytes() == r0.final_rel_estimate.tobytes(), (ka, kb)
             assert x.tobytes() == (x0 * 2.0 ** (kb - ka)).tobytes(), (ka, kb)
+
+
+class TestTracedNames:
+    """A traced benchmark solve (``perfbench/spans.py``) replaces functions by
+    wrappers in the module namespaces where the program looks them up, and
+    fails when a method never reaches a wrapper it expects (``SHARED_CALLS``
+    and ``METHOD_CALLS`` of ``perfbench/workloads.py``, copied here). A
+    function bound early, such as an update stored in ``_METHODS`` as a
+    function object, is no longer reached through its name."""
+
+    # span name: the module attribute wrapped for it
+    WRAPPED = {
+        "solvers.solve_all": (solvers, "solve_all"),
+        "lanczos.lanczos_init": (solvers, "lanczos_init"),
+        "lanczos.lanczos_step": (solvers, "lanczos_step"),
+        "core.spmv": (lanczos, "spmv"),
+        "core.bilinear_dot": (lanczos, "bilinear_dot"),
+        "solvers.qmr_sym_update": (solvers, "qmr_sym_update"),
+        "solvers.qmr_sym_b_update": (solvers, "qmr_sym_b_update"),
+        "solvers.qmr_sym_omega_update": (solvers, "qmr_sym_omega_update"),
+        "solvers.cocg_galerkin_update": (solvers, "cocg_galerkin_update"),
+        "solvers.estimate_residual_qmr": (solvers, "estimate_residual_qmr"),
+        "solvers.true_residual": (solvers, "true_residual"),
+    }
+    SHARED_CALLS = ("solvers.solve_all", "lanczos.lanczos_init", "lanczos.lanczos_step",
+                    "core.spmv", "core.bilinear_dot")
+    METHOD_CALLS = {
+        "qmr-sym": ("solvers.qmr_sym_update", "solvers.estimate_residual_qmr"),
+        "qmr-sym-b": ("solvers.qmr_sym_b_update",),
+        "qmr-sym-omega": ("solvers.qmr_sym_omega_update", "solvers.estimate_residual_qmr"),
+        "cocg": ("solvers.cocg_galerkin_update", "solvers.true_residual"),
+    }
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_each_method_reaches_its_traced_names(self, monkeypatch, method, real):
+        calls = dict.fromkeys(self.WRAPPED, 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, (module, attr) in self.WRAPPED.items():
+            monkeypatch.setattr(module, attr, counting(name, getattr(module, attr)))
+        A, b = chain(n=200, real=real)
+        _, rep = solvers.solve_all(A, b, CHAIN_SHIFTS, method=method, tol=1e-10)
+        assert rep.all_converged
+        expected = self.SHARED_CALLS + self.METHOD_CALLS[method]
+        assert [name for name in expected if not calls[name]] == []
+        # every method's deflation test reads the one estimate rule, once per step
+        assert calls["solvers.estimate_residual_qmr"] == rep.iterations
+        assert calls["lanczos.lanczos_step"] == rep.iterations

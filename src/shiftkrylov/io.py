@@ -326,18 +326,18 @@ def write_history_csv(report, path) -> None:
 _SUMMARY_COLS = "index sigma_re sigma_im iterations rel_estimate rel_true status"
 
 
-def write_summary(report, path, oracle_distance=None) -> None:
+def write_summary(report, path, check=None) -> None:
     """Write the per-shift summary table of a ``SolveReport``: one row per shift.
 
     Columns: shift index, shift, iteration count, final relative residual
-    estimate, final relative true residual (``-`` when not computed) and
-    status; plus the relative oracle distance when supplied. The leading
-    ``#`` lines carry run metadata. Timing is deliberately left out so that
-    identical reports produce identical bytes.
+    estimate, final relative true residual and status. ``check``, a pair of
+    per-shift arrays (relative true residuals, relative oracle distances),
+    fills the true-residual column (``-`` without it) and appends an
+    ``oracle_distance`` column. The leading ``#`` lines carry run metadata.
+    Timing is deliberately left out so that identical reports produce
+    identical bytes.
     """
-    cols = _SUMMARY_COLS
-    if oracle_distance is not None:
-        cols += " oracle_distance"
+    cols = _SUMMARY_COLS + ("" if check is None else " oracle_distance")
     with open(path, "w") as fh:
         fh.write(
             f"# method={report.method} n={report.n} m={report.m} tol={_fmt(report.tol)} "
@@ -347,14 +347,10 @@ def write_summary(report, path, oracle_distance=None) -> None:
         fh.write(f"# {cols}\n")
         for idx in range(report.m):
             sigma = report.shifts[idx]
-            true_part = (
-                _fmt(report.final_rel_true[idx]) if report.final_rel_true is not None else "-"
-            )
-            row = (
+            true_part, tail = (("-", "") if check is None else
+                               (_fmt(check[0][idx]), f" {_fmt(check[1][idx])}"))
+            fh.write(
                 f"{idx + 1} {_fmt(sigma.real)} {_fmt(sigma.imag)} "
                 f"{report.iters[idx]} {_fmt(report.final_rel_estimate[idx])} "
-                f"{true_part} {report.status[idx]}"
+                f"{true_part} {report.status[idx]}{tail}\n"
             )
-            if oracle_distance is not None:
-                row += f" {_fmt(oracle_distance[idx])}"
-            fh.write(row + "\n")

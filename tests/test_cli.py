@@ -9,7 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shiftkrylov import DenseOracle, SparseSymMatrix, cli, write_matrix_market
+from shiftkrylov import (
+    METHODS,
+    DenseOracle,
+    SparseSymMatrix,
+    cli,
+    default_rhs,
+    read_shifts,
+    solve_all,
+    true_residual,
+    write_matrix_market,
+)
 from shiftkrylov.cli import (
     EXIT_BREAKDOWN,
     EXIT_OK,
@@ -149,6 +159,23 @@ class TestRun:
                 toks = line.split()
                 assert float(toks[-1]) <= 1e-8  # oracle distance
                 assert float(toks[5]) <= 1e-9  # true relative residual
+
+    def test_check_verifies_outside_the_solve(self, tmp_path):
+        # --check takes each true residual from the returned solution after the
+        # solve, on no counter of it: compare.txt keeps the bytes of a run without it
+        shifts = write_shift_file(tmp_path / "s.txt", "range 0.4 0.001 0.001 5\n")
+        for name, flags in (("plain", []), ("checked", ["--check"])):
+            args = ["--generate", "64,5,1", "--shifts", shifts, "--out-prefix", str(tmp_path / name)]
+            assert main(args + flags) == EXIT_OK
+        compare = [(tmp_path / f"{name}.compare.txt").read_bytes() for name in ("plain", "checked")]
+        assert compare[0] == compare[1]
+        A, b = generate_hamiltonian_analog(64, 5, 1), default_rhs(64)
+        sigma = read_shifts(shifts).shifts
+        for method in METHODS:
+            x, rep = solve_all(A, b, sigma, method=method)
+            lines = (tmp_path / f"checked.{method}.summary.txt").read_text().splitlines()
+            rel_true = [float(l.split()[5]) for l in lines if not l.startswith("#")]
+            assert rel_true == (true_residual(A, sigma, b, x) / rep.bnorm).tolist()
 
     def test_compare_table_flop_ratio(self, tmp_path):
         shifts = write_shift_file(tmp_path / "s.txt")
@@ -370,6 +397,21 @@ class TestRun:
         code = main(["--matrix", str(mtx), "--shifts", shifts, "--rhs", str(rhs)])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == "error: a solution exceeds float64 range\n"
+
+    # A at 2^-1030 and the shift 2^-1031: f = -beta / t_n overflowed at step 1,
+    # into a traceback under -W error::RuntimeWarning and exit 5 without it
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_recurrence_overflow_is_usage_error(self, tmp_path, capsys):
+        A = generate_hamiltonian_analog(64, 5, 1)
+        mtx = tmp_path / "tiny.mtx"
+        write_matrix_market(SparseSymMatrix(A.n, A.indptr, A.indices, np.ldexp(A.data, -1030)),
+                            mtx)
+        shifts = write_shift_file(tmp_path / "s.txt", "4.345847379897e-311 0\n")
+        code = main(["--matrix", str(mtx), "--shifts", shifts, "--tol", "1e-10",
+                     "--method", "qmr-sym-b"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == ("error: the recurrences of shift "
+                                           "(4.345847379897e-311+0j) exceed float64 range\n")
 
     def test_rhs_norm_beyond_float64_is_usage_error(self, tmp_path, capsys):
         rhs = tmp_path / "b.txt"

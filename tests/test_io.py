@@ -558,7 +558,8 @@ class TestSummary:
     def test_oracle_column_appended(self, tmp_path):
         rep = small_report(tmp_path, m=2)
         p = tmp_path / "s.txt"
-        write_summary(rep, p, oracle_distance=np.array([1e-12, 2e-12]))
+        write_summary(rep, p, check=(np.array([3e-13, 4e-13]), np.array([1e-12, 2e-12])))
         data = [l for l in p.read_text().splitlines() if not l.startswith("#")]
         assert all(len(l.split()) == 8 for l in data)
+        assert [l.split()[5] for l in data] == ["3e-13", "4e-13"]  # rel_true
         assert float(data[0].split()[-1]) == 1e-12

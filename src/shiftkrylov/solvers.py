@@ -47,8 +47,10 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
+from scipy.linalg.blas import zaxpy
 
-from .core import BreakdownError, FlopCounter, ShiftSet, SparseSymMatrix, _csr_product, _norm2
+from .core import (_DOT_CHUNK, BreakdownError, FlopCounter, ShiftSet, SparseSymMatrix,
+                   _csr_product, _norm2)
 
 # spmv stays a name of this module: perfbench/spans.py wraps solvers.spmv
 from .core import spmv  # noqa: F401
@@ -92,6 +94,9 @@ _MIN_WINDOW = 8
 # inner dimension in its regular kernel but not in its small-matrix kernel,
 # so a row's bits would depend on how many rows share its product.
 _MAX_WINDOW = 256
+# A row of W, w = phi u, takes phi into u once |phi| falls below this, so that
+# u, which grows as 1/|phi|, stays far from overflow.
+_FOLD = 2.0**-30
 
 
 class ShiftBatch:
@@ -129,10 +134,11 @@ class ShiftBatch:
         rotation = spec.directions == 2
         self.W = None if self.real or not rotation else np.tile(v1.astype(complex) / omega1, (m, 1))
         self.wnorm = None if self.W is None else np.full(m, _norm2(self.W[0]))  # ||w|| per row
+        self.phi = None if self.W is None else np.ones(m, dtype=complex)  # w = phi W[r]
         for name, dtype in spec.state:
             setattr(self, name, np.zeros(m, dtype=dtype))
         # the per-shift arrays that retire permutes, None where a method has none
-        self._fields = ["sigma", "perm", "g", "res", "niter", "X", "W", "wnorm", "P1", "P2"]
+        self._fields = ["sigma", "perm", "g", "res", "niter", "X", "W", "wnorm", "phi", "P1", "P2"]
         self._fields += [name for name, _ in spec.state]
         self.status, self.failure = ["unconverged"] * m, [None] * m
         self.history = [[] for _ in range(m)] if record_history else None
@@ -272,8 +278,11 @@ class _Window:
         is a slice or an index array, and row ``i`` of ``X`` (the batch's own
         for a slice from row 0) holds the iterate of row ``i`` of ``rows``.
         The rows are swept a bounded block at a time, and each block's
-        products a bounded panel of columns at a time. A non-finite ``g`` or
-        coefficient of a row raises ``ValueError`` (``g`` stays so once it is)."""
+        products a bounded panel of columns at a time. Without ``advance`` the
+        backward recurrence starts at the block's last nonzero coefficient, so
+        rows retired early in the window pay only for their live steps. A
+        non-finite ``g`` or coefficient of a row raises ``ValueError`` (``g``
+        stays so once it is)."""
         k, Vw, (Dw, Aw, Bw) = self.k, self.Vw, (*batch.coef, None)[:3]
         h = len(batch.perm[rows])
         if k == 0 or h == 0:
@@ -300,7 +309,11 @@ class _Window:
                     for W in (Aw, Bw))
             # views of the rows, made once: indexing an array makes a new view each time
             ys, As, Bs = list(Y.reshape(k + 2, -1)), list(A), [] if B is None else list(B)
-            for i in range(k, -1 if Bs else 0, -1):
+            top = k  # rows that left within the window: y stays zero above their last step
+            if not advance and not batch.coef[:, k + 1, r].any():
+                live = np.flatnonzero(batch.coef[:, : k + 2, r].any(axis=(0, 2)))
+                top = live[-1] if len(live) else -1
+            for i in range(top, -1 if Bs else 0, -1):
                 ys[i] -= As[i + 1] * ys[i + 1]
                 if Bs and i + 2 <= k + 1:
                     ys[i] -= Bs[i + 2] * ys[i + 2]
@@ -349,8 +362,8 @@ def _ldexp(x: np.ndarray, e: int) -> np.ndarray:
 def _rotation_update(batch: ShiftBatch, step: LanczosStep, omegas, scale, counter):
     """Shared body of the rotation-based updates (identity and omega
     weights): apply the previous two rotations to the active columns, compute
-    the new rotations and advance ``g`` and ``w = -s w + (c scale) v_{n+1}``
-    with ``||w||``."""
+    the new rotations and advance ``g`` and ``w = -s w + (c scale) v_{n+1}``,
+    held as ``phi u``, with ``||w||``."""
     na, n = batch.na, step.n
     om_nm1, om_n, om_np1 = omegas
     t_nm1 = om_nm1 * complex(step.beta_prev)
@@ -374,16 +387,24 @@ def _rotation_update(batch: ShiftBatch, step: LanczosStep, omegas, scale, counte
     t_final = np.add(c * t_n, s * t_np1, out=batch.diag2[:na])
     np.divide(c * g, t_final, out=d)
     np.divide(t_nm1, batch.diag1[:na], out=a) if n > 1 else a.fill(0.0)
-    # each row once, in place: scale, add, then its norm; by NumPy, since SciPy's
-    # threaded level-1 BLAS competed with NumPy's for the cores
+    # w = phi u: the scale -s goes into phi, u takes (c scale / phi) v_{n+1} by
+    # zaxpy over chunks of _DOT_CHUNK entries from the row's start (below the
+    # bound above which SciPy's OpenBLAS threads it), and ||w|| = |phi| ||u||.
+    # phi row by row in Python complex arithmetic: NumPy's vectorized complex
+    # division rounds a row differently by its position in the array
     if batch.W is not None:
-        cu = c * scale
-        buf = np.empty_like(step.v_next)
-        for r in range(na):
-            w = batch.W[r]
-            w *= -s[r]
-            w += np.multiply(step.v_next, cu[r], out=buf)
-            batch.wnorm[r] = _norm2(w)
+        v, n_v, phis = step.v_next, batch.n, batch.phi[:na].tolist()
+        for r, (u, sr, cu) in enumerate(zip(batch.W, s.tolist(), (c * scale).tolist())):
+            phi = -sr * phis[r]
+            if abs(phi) < _FOLD:  # also where s = 0 made phi zero
+                u *= phi
+                phi = 1.0
+            a_r = cu / phi
+            for i in range(0, n_v, _DOT_CHUNK):  # zaxpy(x, y, n, a, offx, incx, offy)
+                zaxpy(v, u, min(_DOT_CHUNK, n_v - i), a_r, i, 1, i)
+            phis[r] = phi
+            batch.wnorm[r] = abs(phi) * _norm2(u)
+        batch.phi[:na] = phis
     batch.c1, batch.c2, batch.s1, batch.s2 = batch.c2, batch.c1, batch.s2, batch.s1
     batch.diag1, batch.diag2 = batch.diag2, batch.diag1
     batch._advance(step, f * g, 6 * batch.n + 3, _LSQ_OPS_ROTATION, counter, bad)
@@ -395,9 +416,10 @@ def qmr_sym_update(batch: ShiftBatch, step: LanczosStep, counter: FlopCounter | 
     Forms the active columns ``(beta_{n-1}, alpha_n + sigma, beta_n)``,
     rotates them through the stored Givens pairs, computes the new rotations
     (``c`` real nonnegative, ``sbar = (t_{n+1,n} / t_{n,n}) c``) and advances
-    the residual-estimate vectors ``w_{n+1} = -s_n w_n + c_n v_{n+1}`` in
-    place, with their norms (kept only on the complex path). A shift whose
-    rotated pivot is exactly zero breaks down.
+    the residual-estimate vectors ``w_{n+1} = -s_n w_n + c_n v_{n+1}``, each
+    kept as a scale ``phi`` and a row ``u`` of ``W`` updated in place, with
+    their norms (kept only on the complex path). A shift whose rotated pivot
+    is exactly zero breaks down.
     """
     _rotation_update(batch, step, (1.0, 1.0, 1.0), 1.0, counter)
     return batch

@@ -661,18 +661,15 @@ class TestResidualEstimates:
 
 class TestResidualVectorNorms:
     """The rotation methods' estimate ``|g| ||w||`` on a complex basis reads
-    the norm the update took of each row of ``W``."""
+    the norm the update took of each row of ``W``, which holds ``w`` as
+    ``phi u``: ``u`` in the row, its scale ``phi`` in ``batch.phi``."""
 
     @staticmethod
-    def estimates(batch, step):
-        est = estimate_residual_qmr(batch, step)
-        na = batch.na
-        ref = np.abs(batch.g[:na]) * np.linalg.norm(batch.W[:na], axis=1)
-        np.testing.assert_allclose(est, ref, rtol=8 * EPS, atol=0)
-        return est
-
-    @pytest.mark.parametrize("method", ["qmr-sym", "qmr-sym-omega"])
-    def test_cached_norms_follow_updates_and_retirement(self, method):
+    def run(method):
+        """Six steps, a retirement that reorders the rows, four more steps;
+        at each step every active row's ``phi u`` and estimate are checked
+        against a reference ``w`` per shift, advanced by the direct recurrence
+        ``w <- -s w + (c scale) v_{n+1}``. Returns the active ``phi`` of each step."""
         rng = np.random.default_rng(43)
         A = sparse_from(rand_complex_symmetric(30, rng))
         b = rng.standard_normal(30) + 1j * rng.standard_normal(30)
@@ -680,18 +677,49 @@ class TestResidualVectorNorms:
         shifts = [0.2 + 0.1j, 0.5 + 0.3j, 1.0 + 0.05j, 1.5 + 0.2j, 2.0 + 0.4j]
         state = lanczos_init(A, b)
         batch = ShiftBatch(method, shifts, state.g1, state.v_curr, 50)
-        for _ in range(6):
+        omega1 = np.linalg.norm(state.v_curr) if method == "qmr-sym-omega" else 1.0
+        ref = np.tile(state.v_curr / omega1, (len(shifts), 1))
+        phis = []
+
+        def step_and_check():
             step = lanczos_step(state, A)
             update(batch, step)
-            est = self.estimates(batch, step)
-        # rows 0 and 2 retire: rows 3 and 4 move into them
+            scale = 1.0 if method == "qmr-sym" else 1.0 / step.v_next_norm
+            na, perm = batch.na, batch.perm[: batch.na]
+            for r, ell in enumerate(perm):  # this step's c and s are c1, s1
+                ref[ell] = -batch.s1[r] * ref[ell] + (batch.c1[r] * scale) * step.v_next
+            w, want = batch.phi[:na, None] * batch.W[:na], ref[perm]
+            wn = np.linalg.norm(want, axis=1)
+            assert np.all(np.linalg.norm(w - want, axis=1) <= 8 * EPS * wn)
+            est = estimate_residual_qmr(batch, step)
+            np.testing.assert_allclose(est, np.abs(batch.g[:na]) * wn, rtol=8 * EPS, atol=0)
+            phis.append(batch.phi[:na].copy())
+            return step, est
+
+        for _ in range(6):
+            step, est = step_and_check()
+        phi = batch.phi.copy()
+        # rows 0 and 2 retire: rows 3 and 4 move into them, with their phi
         batch.retire(np.array([True, False, True, False, False]))
         assert batch.na == 3 and list(batch.perm[:3]) == [3, 1, 4]
-        assert np.array_equal(self.estimates(batch, step), est[[3, 1, 4]])
+        assert np.array_equal(batch.phi[:3], phi[[3, 1, 4]])
+        assert np.array_equal(estimate_residual_qmr(batch, step), est[[3, 1, 4]])
         for _ in range(4):
-            step = lanczos_step(state, A)
-            update(batch, step)
-            self.estimates(batch, step)
+            step_and_check()
+        return phis
+
+    @pytest.mark.parametrize("method", ["qmr-sym", "qmr-sym-omega"])
+    def test_cached_norms_follow_updates_and_retirement(self, method):
+        phis = self.run(method)
+        assert all(np.all(phi != 1) for phi in phis)  # |phi| stays above the fold
+
+    @pytest.mark.parametrize("method", ["qmr-sym", "qmr-sym-omega"])
+    def test_a_folded_scale_keeps_w(self, monkeypatch, method):
+        # a row whose |phi| falls below the bound takes phi into u; at 0.5
+        # some rows fold at a step while others keep their scale
+        monkeypatch.setattr(solvers, "_FOLD", 0.5)
+        folded = np.concatenate(self.run(method)) == 1
+        assert folded.any() and not folded.all()
 
     @pytest.mark.parametrize("method", METHODS)
     def test_real_basis_estimate_is_exactly_abs_g(self, method):
@@ -1580,6 +1608,26 @@ class TestFlushTiling:
         x, fam = solve_all(A, b, CHAIN_SHIFTS, method=method, tol=1e-10, record_history=True)
         xs, solo = solve_all(A, b, CHAIN_SHIFTS[pick : pick + 1], method=method, tol=1e-10,
                              record_history=True)
+        assert sorted(fam.iters).index(fam.iters[pick]) == 4
+        assert fam.iters[pick] == solo.iters[0]
+        assert np.array_equal(x[pick], xs[0])
+        assert fam.history[pick] == solo.history[0]
+        assert fam.final_rel_estimate[pick] == solo.final_rel_estimate[0]
+
+    @pytest.mark.parametrize("method", ["qmr-sym", "qmr-sym-omega"])
+    def test_rows_of_two_axpy_chunks_round_alike_in_any_family(self, method):
+        # at N = 8200 each row of W takes c v_{n+1} in a chunk of 8192 entries
+        # and one of 8, counted from the row's start; a random b, so that the
+        # basis vectors reach the second chunk
+        A, _ = chain(8200)
+        b = np.random.default_rng(48).standard_normal(A.n)
+        assert solvers._DOT_CHUNK < A.n < 2 * solvers._DOT_CHUNK
+        pick = 3
+        x, fam = solve_all(A, b, CHAIN_SHIFTS, method=method, tol=1e-10, record_history=True)
+        xs, solo = solve_all(A, b, CHAIN_SHIFTS[pick : pick + 1], method=method, tol=1e-10,
+                             record_history=True)
+        tr = true_residual(A, CHAIN_SHIFTS[pick], b, x[pick]) / np.linalg.norm(b)
+        assert abs(fam.final_rel_estimate[pick] - tr) <= 1e-6 * tr
         assert sorted(fam.iters).index(fam.iters[pick]) == 4
         assert fam.iters[pick] == solo.iters[0]
         assert np.array_equal(x[pick], xs[0])
